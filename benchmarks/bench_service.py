@@ -226,7 +226,7 @@ def test_mc_10k_process_vs_serial(fresh_registry):
 def test_resilience_overhead(fresh_registry):
     """Policies enabled but no faults: the resilience layer must be ~free.
 
-    The degradation ladder, breaker check, and retry wrapper all sit on the
+    The degradation ladder and its fault-site check sit on the
     evaluate hot path; with ``REPRO_FAULTS`` unset they should cost a guard
     clause each.  Asserts enabled-path timings stay within 5% of the
     ``ResilienceOptions.disabled()`` baseline (plus a 2ms epsilon so

@@ -1,17 +1,15 @@
 #!/usr/bin/env python3
-"""Chaos drill tour: fault injection, the breaker arc, graceful degradation.
+"""Chaos drill tour: fault injection and graceful degradation.
 
-Runs the planner service in-process under a seeded fault plan and walks the
-resilience layer end to end:
+Runs the planner service in-process under seeded fault plans and walks the
+degradation ladder (``mc → quadrature → series``) end to end:
 
-1. a clean request — full-fidelity parallel Monte-Carlo, ``degraded: false``;
-2. a worker-failure storm — the MC rung fails, the circuit breaker opens,
-   and the degradation ladder answers from reduced serial MC instead;
-3. a request while the breaker is open — rejected in microseconds (no
-   backend call at all), still answered, still marked degraded;
-4. breaker recovery — after the open window a half-open probe runs, the
-   backend is healthy again, and responses return to full fidelity;
-5. an expired deadline — the ladder skips straight to the Theorem 1 series
+1. a clean request — full-fidelity serial Monte-Carlo, ``degraded: false``;
+2. a failed MC rung — a ``planner.mc`` fault makes rung one raise, and the
+   ladder answers from the Eq. 3 quadrature instead, marked degraded;
+3. recovery — with the fault plan gone, the next request is full fidelity
+   again;
+4. an expired deadline — the ladder skips straight to the Theorem 1 series
    (an exact analytic answer: late beats never).
 
 Every step ends in an ``assert``; the CI ``chaos`` job runs this verbatim.
@@ -19,12 +17,9 @@ Every step ends in an ``assert``; the CI ``chaos`` job runs this verbatim.
 Run:  python examples/chaos_drill.py
 """
 
-import time
-
 from repro import observability as obs
 from repro.resilience import FaultPlan, FaultRule, faults
 from repro.service.planner import PlannerService, ResilienceOptions
-from repro.service.pool import ThreadBackend
 
 obs.enable()
 
@@ -43,61 +38,39 @@ def stamp(tag, response):
           f"E[cost]={stats['expected_cost']:.2f}")
 
 
-backend = ThreadBackend(2)
-service = PlannerService(
-    backend=backend,
-    resilience=ResilienceOptions(
-        mc_task_timeout_s=1.0,
-        mc_task_retries=0,
-        breaker_failure_threshold=1,
-        breaker_recovery_s=1.0,
-    ),
-)
+service = PlannerService()
 
-try:
-    # 1. No faults: full-fidelity parallel MC.
-    clean = service.plan(REQUEST)
-    assert not clean["degraded"] and clean["evaluator"] == "mc"
-    stamp("clean", clean)
+# 1. No faults: full-fidelity serial MC.
+clean = service.plan(REQUEST)
+assert not clean["degraded"] and clean["evaluator"] == "mc"
+stamp("clean", clean)
 
-    # 2. Worker storm: every pool task raises -> rung 1 fails -> the
-    #    breaker opens -> the ladder falls back to reduced serial MC.
-    storm = FaultPlan([FaultRule(site="pool.worker", mode="error")], seed=7)
-    with faults.installed(storm):
-        stormy = service.evaluate({**REQUEST, "seed": 1})
-    assert stormy["degraded"] and stormy["evaluator"] == "mc_serial_reduced"
-    assert service.breaker.state == "open"
-    stamp("worker storm", stormy)
+# 2. The MC rung raises -> the ladder falls back to the quadrature.
+storm = FaultPlan([FaultRule(site="planner.mc", mode="error")], seed=7)
+with faults.installed(storm):
+    stormy = service.evaluate({**REQUEST, "seed": 1})
+assert stormy["degraded"] and stormy["evaluator"] == "quadrature"
+failed = stormy["attempts"][0]
+assert failed["evaluator"] == "mc" and failed["outcome"] == "error"
+assert "InjectedFault" in failed["error"]
+stamp("mc fault", stormy)
 
-    # 3. Faults are gone but the breaker is still open: the MC rung is
-    #    rejected without touching the backend, the answer still arrives.
-    shorted = service.evaluate({**REQUEST, "seed": 2})
-    assert shorted["degraded"]
-    assert "CircuitOpen" in shorted["attempts"][0]["error"]
-    stamp("breaker open", shorted)
+# 3. Faults are gone: the very next request is full fidelity again.
+recovered = service.evaluate({**REQUEST, "seed": 2})
+assert not recovered["degraded"] and recovered["evaluator"] == "mc"
+stamp("recovered", recovered)
 
-    # 4. After the recovery window a half-open probe runs and succeeds:
-    #    the breaker closes and fidelity is fully restored.
-    time.sleep(1.1)
-    recovered = service.evaluate({**REQUEST, "seed": 3})
-    assert not recovered["degraded"] and recovered["evaluator"] == "mc"
-    assert service.breaker.state == "closed"
-    stamp("recovered", recovered)
+# 4. A zero deadline: intermediate rungs are skipped, the final rung
+#    (Theorem 1 series — exact, cheap) still answers.
+hurried = PlannerService(
+    resilience=ResilienceOptions(request_deadline_s=0.0)
+).evaluate(REQUEST)
+assert hurried["degraded"] and hurried["evaluator"] == "series"
+assert hurried["evaluation"]["std_error"] is None  # analytic answer
+stamp("expired deadline", hurried)
 
-    # 5. A zero deadline: intermediate rungs are skipped, the final rung
-    #    (Theorem 1 series — exact, cheap) still answers.
-    hurried = PlannerService(
-        resilience=ResilienceOptions(request_deadline_s=0.0)
-    ).evaluate(REQUEST)
-    assert hurried["degraded"] and hurried["evaluator"] == "series"
-    assert hurried["evaluation"]["std_error"] is None  # analytic answer
-    stamp("expired deadline", hurried)
-
-    arc = service.breaker.stats()
-    assert arc["opened"] >= 1 and arc["half_opens"] >= 1 and arc["closes"] >= 1
-    print(f"\nbreaker arc: opened={arc['opened']} "
-          f"half_opens={arc['half_opens']} closes={arc['closes']} "
-          f"rejections={arc['rejections']}")
-    print("All chaos drill checks passed.")
-finally:
-    backend.close()
+counters = obs.get_registry().to_dict()["counters"]
+assert counters["resilience.degraded_responses"] >= 2
+print(f"\nfaults injected={counters['resilience.faults_injected']} "
+      f"degraded responses={counters['resilience.degraded_responses']}")
+print("All chaos drill checks passed.")

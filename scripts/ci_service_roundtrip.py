@@ -8,11 +8,11 @@ cache (the ``plancache.hits`` counter is the proof), then SIGTERMs and
 checks the graceful shutdown wrote the cache snapshot.
 
 ``--chaos`` (the `chaos` job) boots the server under the canned
-``scripts/chaos_plan.json`` fault drill — a deterministic burst that opens
-the circuit breaker, a steady 35% pool-worker failure rate, and one hung
-Monte-Carlo chunk — and asserts the resilience contract: every request is
-still answered, degraded answers are marked as such, and the breaker's
-open → half-open arc is visible in ``/metrics``.  It then runs the
+``scripts/chaos_plan.json`` fault drill — a deterministic burst of failed
+Monte-Carlo rungs (``planner.mc``), then a steady 35% failure rate — and
+asserts the resilience contract: every request is still answered, degraded
+answers are marked as such, and the injected faults and degraded responses
+are counted in ``/metrics``.  It then runs the
 **shard-kill drill**: a second server with ``--workers 3`` (sharded plan
 cache, per-shard journals), one shard worker SIGKILLed mid-load, and the
 contract that zero requests fail, the failover is visible in
@@ -37,8 +37,6 @@ from repro.service.client import ServiceClient
 PARAMS = {"mu": 3.0, "sigma": 0.5}
 CHAOS_PLAN = os.path.join(os.path.dirname(__file__), "chaos_plan.json")
 
-BREAKER_RECOVERY_S = 2.0
-
 
 def boot(extra_args, env=None):
     snap = os.path.join(tempfile.mkdtemp(prefix="repro-serve-ci-"), "snap.json")
@@ -46,7 +44,6 @@ def boot(extra_args, env=None):
         [
             sys.executable, "-m", "repro.service.server",
             "--port", "0",
-            "--backend", "thread", "--jobs", "2",
             "--n-samples", "1000",
             "--snapshot-out", snap,
             *extra_args,
@@ -106,16 +103,7 @@ def roundtrip(extra_args):
 def chaos(extra_args):
     env = dict(os.environ)
     env["REPRO_FAULTS"] = CHAOS_PLAN
-    proc, snap, port = boot(
-        [
-            "--mc-task-timeout", "1.0",
-            "--mc-task-retries", "2",
-            "--breaker-threshold", "2",
-            "--breaker-recovery", str(BREAKER_RECOVERY_S),
-            *extra_args,
-        ],
-        env=env,
-    )
+    proc, snap, port = boot(extra_args, env=env)
     try:
         print(f"repro-serve up on port {port} (chaos plan: {CHAOS_PLAN})")
         client = ServiceClient(f"http://127.0.0.1:{port}", timeout=60)
@@ -142,22 +130,10 @@ def chaos(extra_args):
 
         counters = client.metrics()["metrics"]["counters"]
         assert counters.get("resilience.faults_injected", 0) > 0, counters
-        assert counters.get("resilience.breaker.opened", 0) >= 1, counters
         assert counters.get("resilience.degraded_responses", 0) >= 1, counters
         print(
-            f"breaker opened {counters['resilience.breaker.opened']}x, "
             f"{counters['resilience.faults_injected']} faults injected, "
             f"{counters['resilience.degraded_responses']} degraded responses"
-        )
-
-        # Let the breaker recover, then trigger its half-open probe.
-        time.sleep(BREAKER_RECOVERY_S + 0.5)
-        client.plan("lognormal", {"mu": 2.5, "sigma": 0.5}, n_samples=2000)
-        counters = client.metrics()["metrics"]["counters"]
-        assert counters.get("resilience.breaker.half_opens", 0) >= 1, counters
-        print(
-            f"breaker half-opened {counters['resilience.breaker.half_opens']}x "
-            "after recovery"
         )
 
         health = client.healthz()
@@ -176,7 +152,6 @@ def boot_sharded(workers, shard_dir, extra_args=(), env=None):
             "--port", "0",
             "--workers", str(workers),
             "--shard-dir", shard_dir,
-            "--backend", "serial",
             "--n-samples", "500",
             *extra_args,
         ],

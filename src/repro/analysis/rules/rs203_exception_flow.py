@@ -2,10 +2,10 @@
 
 PR 5's contract is that chaos runs degrade gracefully: an
 :class:`~repro.resilience.faults.InjectedFault` raised at any of the
-registered sites (``pool.worker``, ``plancache.save``, ``plancache.load``,
-``server.request``, ``mc.chunk``) is retried, absorbed by the degradation
-ladder, or surfaced as a structured error — never a naked traceback out
-of ``main`` and never silently swallowed.
+registered sites (``planner.mc``, ``pool.worker``, ``plancache.save``,
+``plancache.load``, ``server.request``, ``mc.chunk``) is retried, absorbed
+by the degradation ladder, or surfaced as a structured error — never a
+naked traceback out of ``main`` and never silently swallowed.
 
 This rule walks the *reverse* call graph from each fault-injection site:
 

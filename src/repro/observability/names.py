@@ -43,10 +43,6 @@ MC_BATCH_KERNEL = "mc.batch.kernel"
 MC_BATCH_MATRIX_KERNEL = "mc.batch.matrix_kernel"
 MC_BATCH_TASKS = "mc.batch.tasks"
 MC_BATCH_SHM_BYTES = "mc.batch.shm_bytes"
-#: Static prefix of the per-kind backend-selection counters (a
-#: DYNAMIC_PREFIXES family); full names are built as
-#: f"{MC_BATCH_BACKEND_PREFIX}{kind}" for kind in serial/thread/process.
-MC_BATCH_BACKEND_PREFIX = "mc.batch.backend."
 
 # -- spot-market platform (repro.platforms.spot) --------------------------
 SPOT_EVAL_CALLS = "spot.eval_calls"
@@ -59,7 +55,7 @@ SPOT_QUADRATURE_CALLS = "spot.quadrature_calls"
 SPOT_PLANS = "spot.plans"
 #: Static prefix of the per-kind backend-selection counters (a
 #: DYNAMIC_PREFIXES family); full names are built as
-#: f"{SPOT_BACKEND_PREFIX}{kind}" for kind in serial/thread/process/auto.
+#: f"{SPOT_BACKEND_PREFIX}{kind}" for kind in serial/thread/process.
 SPOT_BACKEND_PREFIX = "spot.backend."
 
 # -- Eq. (11) grid recurrence ---------------------------------------------
@@ -127,11 +123,6 @@ RESILIENCE_RETRY_EXHAUSTED = "resilience.retry_exhausted"
 RESILIENCE_DEADLINE_EXPIRED = "resilience.deadline_expired"
 RESILIENCE_FALLBACKS = "resilience.fallbacks"
 RESILIENCE_DEGRADED = "resilience.degraded_responses"
-RESILIENCE_BREAKER_STATE = "resilience.breaker.state"
-RESILIENCE_BREAKER_OPENED = "resilience.breaker.opened"
-RESILIENCE_BREAKER_HALF_OPENS = "resilience.breaker.half_opens"
-RESILIENCE_BREAKER_CLOSES = "resilience.breaker.closes"
-RESILIENCE_BREAKER_REJECTIONS = "resilience.breaker.rejections"
 #: Static prefixes of the per-site / per-evaluator counter families
 #: (DYNAMIC_PREFIXES entries); full names are built as
 #: f"{RESILIENCE_FAULT_PREFIX}{site}" and
@@ -161,7 +152,6 @@ DYNAMIC_PREFIXES = (
     "profile.",                # one timer per @profiled function
     "resilience.fault.",       # one counter per fault-injection site
     "resilience.evaluator.",   # one counter per degradation-ladder rung
-    "mc.batch.backend.",       # one counter per selected batch backend kind
     "spot.backend.",           # one counter per selected spot backend kind
 )
 

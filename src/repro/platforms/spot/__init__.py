@@ -24,7 +24,6 @@ is the ``spot-market`` experiment.  See ``docs/SPOT.md``.
 """
 
 from repro.platforms.spot.evaluator import (
-    SPOT_AUTO_PROCESS_MIN_PATHS,
     SpotCostResult,
     SpotScenario,
     expected_spot_busy_time,
@@ -58,5 +57,4 @@ __all__ = [
     "spot_monte_carlo_cost",
     "expected_spot_busy_time",
     "expected_spot_cost",
-    "SPOT_AUTO_PROCESS_MIN_PATHS",
 ]

@@ -7,8 +7,8 @@ Two evaluation paths, built to agree in their common regime:
   interruptions from the (possibly price-dependent) hazard, and bills the
   busy time against the *realized* price path.  Chunked per
   ``simulation.batch`` conventions and backend-invariant: for a fixed
-  ``(seed, jobs)`` the result is bit-identical on serial, thread, process,
-  and auto backends, because every backend runs the same module-level task
+  ``(seed, jobs)`` the result is bit-identical on serial, thread and process
+  backends, because every backend runs the same module-level task
   on the same ``SeedSequence``-spawned streams.
 
 * :func:`expected_spot_busy_time` / :func:`expected_spot_cost` — the
@@ -52,12 +52,7 @@ __all__ = [
     "spot_monte_carlo_cost",
     "expected_spot_busy_time",
     "expected_spot_cost",
-    "SPOT_AUTO_PROCESS_MIN_PATHS",
 ]
-
-#: ``backend="auto"`` goes to the process pool at this many paths; below it
-#: the per-path stepping loop is too small to amortize pool dispatch.
-SPOT_AUTO_PROCESS_MIN_PATHS = 10_000
 
 #: Survival mass below which the segment series / window sweep terminates.
 _SERIES_TAIL = 1e-12
@@ -242,48 +237,6 @@ def _simulate_spot_chunk(
     )
 
 
-def _select_spot_backend(
-    backend: Any, jobs: int, n_paths: int
-) -> Tuple[str, Any, bool]:
-    """Normalize ``backend`` to ``(kind, pool, owned)`` — the
-    ``simulation.batch`` resolution semantics, with a path-count threshold
-    for ``"auto"``."""
-    from repro.service.pool import (
-        AutoBackend,
-        ProcessBackend,
-        SerialBackend,
-        ThreadBackend,
-        effective_cpu_count,
-        get_backend,
-    )
-
-    owned = False
-    if backend is None:
-        backend = "serial"
-    if isinstance(backend, str):
-        if backend == "auto":
-            backend = AutoBackend(jobs)
-        else:
-            backend = get_backend(
-                backend, jobs if jobs > 1 else effective_cpu_count()
-            )
-        owned = True
-    if isinstance(backend, AutoBackend):
-        kind = backend.select(n_paths, SPOT_AUTO_PROCESS_MIN_PATHS)
-        metrics.inc(f"spot.backend.{kind}")
-        if kind == "process":
-            return "process", backend.process_backend(), owned
-        return "serial", None, False
-    metrics.inc(f"spot.backend.{backend.kind}")
-    if isinstance(backend, SerialBackend):
-        return "serial", None, False
-    if isinstance(backend, ProcessBackend):
-        return "process", backend, owned
-    if isinstance(backend, ThreadBackend):
-        return "thread", backend, owned
-    raise TypeError(f"unsupported backend for the spot evaluator: {backend!r}")
-
-
 def spot_monte_carlo_cost(
     job: Union[float, object],
     scenario: SpotScenario,
@@ -326,7 +279,7 @@ def spot_monte_carlo_cost(
     metrics.inc("spot.eval_calls")
     metrics.inc("spot.paths", n_paths)
 
-    from repro.service.pool import chunk_sizes
+    from repro.service.pool import chunk_sizes, resolve_backend
 
     sizes = [s for s in chunk_sizes(n_paths, max(int(jobs), 1)) if s > 0]
     children = spawn_seed_sequences(seed, len(sizes))
@@ -335,10 +288,11 @@ def spot_monte_carlo_cost(
     ]
     metrics.inc("spot.tasks", len(tasks))
 
-    kind, pool, owned = _select_spot_backend(backend, jobs, n_paths)
+    kind, pool, _, owned = resolve_backend(backend, jobs)
+    metrics.inc(f"spot.backend.{kind}")
     with metrics.timer("spot.eval"):
         try:
-            if kind == "serial":
+            if pool is None:
                 partials = [_simulate_spot_chunk(task) for task in tasks]
             else:
                 partials = pool.map(

@@ -1,5 +1,5 @@
-"""Resilience layer: fault injection, retry/backoff, circuit breaking,
-graceful degradation.
+"""Resilience layer: fault injection, retry/backoff, graceful degradation,
+shard supervision.
 
 The serving stack (:mod:`repro.service`) assumes workers, snapshot I/O and
 HTTP requests can all fail; this package supplies the machinery that keeps
@@ -10,8 +10,6 @@ it answering anyway:
 * :mod:`repro.resilience.policies` — :class:`RetryPolicy` (exponential
   backoff, full jitter, retry budgets), :class:`Deadline` (propagated
   wall-clock budget);
-* :mod:`repro.resilience.breaker` — :class:`CircuitBreaker`
-  (closed/open/half-open with ``resilience.breaker.*`` metrics);
 * :mod:`repro.resilience.degradation` — :func:`run_ladder`, the
   evaluator fallback chain used by the planner;
 * :mod:`repro.resilience.supervisor` — :class:`Supervisor`, the probe /
@@ -21,13 +19,6 @@ See ``docs/RESILIENCE.md`` for the fault-spec format, the policy knobs,
 and the planner's degradation ladder.
 """
 
-from repro.resilience.breaker import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    CircuitBreaker,
-    CircuitOpen,
-)
 from repro.resilience.degradation import LadderExhausted, LadderReport, run_ladder
 from repro.resilience.faults import (
     ENV_VAR,
@@ -51,11 +42,6 @@ from repro.resilience.supervisor import Supervisor, SupervisorPolicy, Ward
 
 __all__ = [
     "ENV_VAR",
-    "CLOSED",
-    "OPEN",
-    "HALF_OPEN",
-    "CircuitBreaker",
-    "CircuitOpen",
     "Deadline",
     "DeadlineExceeded",
     "FaultPlan",

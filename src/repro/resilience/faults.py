@@ -127,6 +127,7 @@ def known_sites() -> Dict[str, str]:
 # means a plan referencing them validates even before those modules load.
 register_site("pool.worker", "every task attempt on an execution backend")
 register_site("mc.chunk", "one parallel Monte-Carlo chunk costing task")
+register_site("planner.mc", "the planner's Monte-Carlo rung, before it samples")
 register_site("plancache.save", "plan-cache snapshot write (pre-rename)")
 register_site("plancache.load", "plan-cache snapshot read")
 register_site("server.request", "admitted POST request handling")

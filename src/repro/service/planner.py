@@ -19,19 +19,20 @@ strategy (DP / brute-force scan) — the ``plancache.hits`` counter is the
 observable proof.
 
 Evaluate requests reuse the cached plan artifact: the stored reservation
-list is costed against a fresh Monte-Carlo sample set (optionally through
-the parallel pool).  Samples beyond the plan's coverage horizon are served
-by a doubling tail extension — by construction less than ``1 - coverage``
-of the probability mass.
+list is costed against a fresh Monte-Carlo sample set.  Samples beyond the
+plan's coverage horizon are served by a doubling tail extension — by
+construction less than ``1 - coverage`` of the probability mass.
+
+Monte-Carlo statistics come from the serial Eq. 13 kernel: at service
+sizes (at most a few hundred thousand samples) one vectorized pass beats
+any thread or process pool (``docs/PERFORMANCE.md``).
 
 **Graceful degradation** (see ``docs/RESILIENCE.md``): the Monte-Carlo
-evaluation runs through a fallback ladder — parallel MC on the configured
-backend, then serial MC with fewer samples, then the Eq. 3 quadrature,
-then the Theorem 1 series — stepping down when the backend's circuit
-breaker is open, a rung fails, or the request deadline shrinks.  Every
-response is stamped with ``degraded`` / ``evaluator`` / ``attempts`` so
-callers (and the chaos CI job) can tell a full-fidelity answer from a
-bounded-degraded one.
+evaluation runs through a fallback ladder — serial MC, then the Eq. 3
+quadrature, then the Theorem 1 series — stepping down when a rung fails or
+the request deadline has expired.  Every response is stamped with
+``degraded`` / ``evaluator`` / ``attempts`` so callers (and the chaos CI
+job) can tell a full-fidelity answer from a bounded-degraded one.
 """
 
 from __future__ import annotations
@@ -49,12 +50,10 @@ from repro.distributions.registry import DISTRIBUTION_FACTORIES, make_distributi
 from repro.observability import metrics
 from repro.observability import names
 from repro.resilience import faults
-from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.degradation import LadderReport, run_ladder
 from repro.resilience.policies import Deadline
 from repro.service.keys import plan_key
 from repro.service.plancache import PlanCache
-from repro.service.pool import ExecutionBackend, SerialBackend, get_backend
 from repro.simulation.monte_carlo import monte_carlo_expected_cost
 from repro.strategies.registry import PAPER_STRATEGY_ORDER, make_strategy
 
@@ -98,30 +97,17 @@ MAX_N_SAMPLES = 2_000_000
 
 @dataclass(frozen=True)
 class ResilienceOptions:
-    """Knobs for the planner's degradation ladder and backend breaker.
+    """Knobs for the planner's degradation ladder.
 
     The defaults keep the no-failure path bit-identical to the raw
-    planner: no deadline, a generous per-chunk timeout that only matters
-    when a chunk hangs, and retries that only run after a failure.
-    ``ResilienceOptions.disabled()`` removes the ladder entirely (used by
-    the overhead benchmark as the raw-path baseline).
+    planner: the ladder's first rung is the plain serial MC call, and no
+    deadline is set.  ``ResilienceOptions.disabled()`` removes the ladder
+    entirely (used by the overhead benchmark as the raw-path baseline).
     """
 
     enabled: bool = True
     #: Wall-clock budget per request; ``None`` = unbounded.
     request_deadline_s: Optional[float] = None
-    #: Per-attempt timeout for one parallel MC chunk (ignored by the
-    #: serial backend, which cannot be interrupted).
-    mc_task_timeout_s: Optional[float] = 10.0
-    #: Resubmissions per failed/hung MC chunk before the rung fails.
-    mc_task_retries: int = 2
-    #: Consecutive rung-1 failures before the breaker opens.
-    breaker_failure_threshold: int = 3
-    #: Seconds the breaker stays open before half-opening a probe.
-    breaker_recovery_s: float = 5.0
-    #: Degraded serial MC uses ``max(min, fraction * n_samples)`` samples.
-    degraded_fraction: float = 0.25
-    degraded_min_samples: int = 500
 
     @classmethod
     def disabled(cls) -> "ResilienceOptions":
@@ -227,17 +213,6 @@ def _doubling_tail(values: np.ndarray) -> float:
     return float(values[-1]) * 2.0
 
 
-def _stats_from_mc(mc, seed: int) -> dict:
-    """Statistics block for a Monte-Carlo rung (full or reduced)."""
-    return {
-        "expected_cost": mc.mean_cost,
-        "std_error": mc.std_error,
-        "n_samples": mc.n_samples,
-        "seed": seed,
-        "max_reservations_hit": mc.max_reservations_hit,
-    }
-
-
 def _stats_from_scalar(value: float) -> dict:
     """Statistics block for an analytic rung (quadrature / series).
 
@@ -255,30 +230,19 @@ def _stats_from_scalar(value: float) -> dict:
 
 
 class PlannerService:
-    """Long-lived planning service: cache + execution backend + planner."""
+    """Long-lived planning service: plan cache + planner + MC ladder."""
 
     def __init__(
         self,
         cache: Optional[PlanCacheLike] = None,
-        backend: Optional[ExecutionBackend] = None,
         n_samples: int = DEFAULT_N_SAMPLES,
         seed: int = 0,
         resilience: Optional[ResilienceOptions] = None,
     ):
         self.cache = cache if cache is not None else PlanCache()
-        self.backend = backend if backend is not None else SerialBackend()
         self.default_n_samples = int(n_samples)
         self.default_seed = int(seed)
         self.resilience = resilience if resilience is not None else ResilienceOptions()
-        self.breaker: Optional[CircuitBreaker] = (
-            CircuitBreaker(
-                failure_threshold=self.resilience.breaker_failure_threshold,
-                recovery_time=self.resilience.breaker_recovery_s,
-                name="mc-backend",
-            )
-            if self.resilience.enabled
-            else None
-        )
         # Wall-clock epoch for display; monotonic origin for uptime_s —
         # NTP steps / DST jumps must never produce negative or inflated
         # uptime in health probes.
@@ -294,15 +258,12 @@ class PlannerService:
         cls,
         cache_size: int = 256,
         ttl: Optional[float] = None,
-        backend: str = "serial",
-        jobs: int = 1,
         n_samples: int = DEFAULT_N_SAMPLES,
         seed: int = 0,
         resilience: Optional[ResilienceOptions] = None,
     ) -> "PlannerService":
         return cls(
             cache=PlanCache(maxsize=cache_size, ttl=ttl),
-            backend=get_backend(backend, jobs),
             n_samples=n_samples,
             seed=seed,
             resilience=resilience,
@@ -328,52 +289,37 @@ class PlannerService:
     ) -> Tuple[dict, LadderReport]:
         """Expected-cost statistics through the degradation ladder.
 
-        Rung 1 is the exact historical evaluation — same arguments, same
-        backend — so with no faults and a serial backend the numbers are
+        Rung 1 is the exact historical evaluation — the serial MC kernel
+        with the same arguments — so with no faults the numbers are
         bit-identical to the pre-ladder planner.  The later rungs trade
-        fidelity for availability: reduced serial MC, then the Eq. 3
-        quadrature, then the Theorem 1 series (always attempted, even past
-        the deadline, because a late answer beats none).
+        fidelity for availability: the Eq. 3 quadrature, then the
+        Theorem 1 series (always attempted, even past the deadline,
+        because a late answer beats none).
         """
-        opts = self.resilience
 
-        def full_mc() -> dict:
-            mc = monte_carlo_expected_cost(
-                sequence,
-                distribution,
-                cost_model,
-                n_samples=n_samples,
-                seed=seed,
-                backend=self.backend,
-                task_timeout=opts.mc_task_timeout_s if opts.enabled else None,
-                task_retries=opts.mc_task_retries if opts.enabled else 0,
+        def mc() -> dict:
+            result = monte_carlo_expected_cost(
+                sequence, distribution, cost_model,
+                n_samples=n_samples, seed=seed,
             )
-            return _stats_from_mc(mc, seed)
+            return {
+                "expected_cost": result.mean_cost,
+                "std_error": result.std_error,
+                "n_samples": result.n_samples,
+                "seed": seed,
+                "max_reservations_hit": result.max_reservations_hit,
+            }
 
-        if not opts.enabled:
-            return full_mc(), LadderReport(
+        if not self.resilience.enabled:
+            return mc(), LadderReport(
                 evaluator="mc",
                 degraded=False,
                 attempts=[{"evaluator": "mc", "outcome": "ok"}],
             )
 
-        def guarded_mc() -> dict:
-            assert self.breaker is not None
-            return self.breaker.call(full_mc)
-
-        def serial_reduced() -> dict:
-            n_reduced = min(
-                n_samples,
-                max(
-                    opts.degraded_min_samples,
-                    int(n_samples * opts.degraded_fraction),
-                ),
-            )
-            mc = monte_carlo_expected_cost(
-                sequence, distribution, cost_model,
-                n_samples=n_reduced, seed=seed,
-            )
-            return _stats_from_mc(mc, seed)
+        def mc_rung() -> dict:
+            faults.fire("planner.mc")
+            return mc()
 
         def quadrature() -> dict:
             return _stats_from_scalar(
@@ -387,8 +333,7 @@ class PlannerService:
 
         return run_ladder(
             [
-                ("mc", guarded_mc),
-                ("mc_serial_reduced", serial_reduced),
+                ("mc", mc_rung),
                 ("quadrature", quadrature),
                 ("series", series),
             ],
@@ -501,7 +446,7 @@ class PlannerService:
 
         The plan is resolved through the cache (planning it on a miss), so a
         warm evaluate never re-runs the strategy; only the sampling runs,
-        through the service's execution backend.
+        through the serial MC ladder.
         """
         metrics.inc(names.SERVICE_EVALUATE_REQUESTS)
         plan_response = self.plan(request)
@@ -552,11 +497,9 @@ class PlannerService:
         return {
             "status": "ok",
             "uptime_s": self.uptime_s(),
-            "backend": self.backend.kind,
             "cache": self.cache.stats(),
             "resilience": {
                 "enabled": self.resilience.enabled,
-                "breaker": self.breaker.stats() if self.breaker is not None else None,
                 "faults": fault_plan.stats() if fault_plan is not None else None,
             },
         }
@@ -565,6 +508,5 @@ class PlannerService:
         return {
             "metrics": metrics.get_registry().to_dict(),
             "cache": self.cache.stats(),
-            "breaker": self.breaker.stats() if self.breaker is not None else None,
             "uptime_s": self.uptime_s(),
         }

@@ -21,8 +21,7 @@ Design choices:
 * ``timeout`` is per task attempt.  Thread workers cannot be interrupted
   mid-flight, so a timed-out attempt may keep running in the background
   while its retry proceeds — acceptable for the pure compute tasks used
-  here, and the reason the default backend for in-process work is threads
-  (numpy releases the GIL in the vectorized kernels).
+  here.
 * every task attempt passes through the ``pool.worker`` fault-injection
   site (:mod:`repro.resilience.faults`), so chaos drills can make any
   fraction of workers raise or hang without touching this module.
@@ -31,7 +30,10 @@ Design choices:
   are *not* picklable — sample/extend first, then ship arrays).
 * ``SerialBackend`` is the default everywhere and runs tasks inline in
   submission order, preserving the library's bit-identical seeded behavior
-  (``jobs=1`` never changes results).
+  (``jobs=1`` never changes results).  Nothing picks a pool on its own:
+  callers that want one name ``"thread"`` or ``"process"`` explicitly,
+  and :func:`resolve_backend` is the one place a name or backend object
+  becomes a pool for the Monte-Carlo kernels.
 
 Metrics (``pool.*``): tasks, retries, timeouts, failures, and a ``pool.map``
 timer, all no-ops unless observability is enabled.
@@ -42,8 +44,7 @@ from __future__ import annotations
 import abc
 import concurrent.futures
 import os
-import threading
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.observability import metrics
 from repro.observability import names
@@ -56,8 +57,8 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "AutoBackend",
     "get_backend",
+    "resolve_backend",
     "effective_cpu_count",
     "BACKEND_KINDS",
     "chunk_sizes",
@@ -66,7 +67,7 @@ __all__ = [
 T = TypeVar("T")
 R = TypeVar("R")
 
-BACKEND_KINDS = ("serial", "thread", "process", "auto")
+BACKEND_KINDS = ("serial", "thread", "process")
 
 
 def effective_cpu_count() -> int:
@@ -105,7 +106,7 @@ def _run_task(fn: Callable[[T], R], item: T) -> R:
     Module-level so the process backend can pickle it; child processes
     pick chaos drills up through the inherited ``REPRO_FAULTS`` variable.
     """
-    faults.fire("pool.worker")  # repro-lint: disable=RS203 -- every backend.map caller rides RetryPolicy + the degradation ladder; the flagged routes go through name-based CHA conflating PlanCache.get_or_compute with the sharded tier's, whose factory runs under the same ladder
+    faults.fire("pool.worker")  # repro-lint: disable=RS203 -- a task that exhausts its RetryPolicy surfaces as PoolError from backend.map, which is the pool's contract (tests/service/test_pool.py asserts it); the serving path runs no pool
     return fn(item)
 
 
@@ -254,82 +255,53 @@ class ProcessBackend(_ExecutorBackend):
         super().__init__(concurrent.futures.ProcessPoolExecutor(max_workers=jobs), jobs)
 
 
-class AutoBackend(ExecutionBackend):
-    """Problem-size-aware backend selection (``kind="auto"``).
-
-    ``AutoBackend`` is a *policy holder*, not a pool: size-aware callers
-    (the Monte-Carlo evaluator and the batched kernels in
-    :mod:`repro.simulation.batch`) call :meth:`select` with their sample
-    count and, when it answers ``"process"``, fetch the lazily-created
-    shared :class:`ProcessBackend` via :meth:`process_backend`.  The pool is
-    created once, under a lock, and reused across calls — process-pool
-    startup (~100s of ms) would otherwise swamp the kernels it accelerates.
-
-    The generic :meth:`map` contract is satisfied by inline serial
-    execution: callers that cannot describe their problem size get the
-    deterministic default rather than a guess.
-    """
-
-    kind = "auto"
-
-    def __init__(self, jobs: int = 0):
-        self.jobs = _resolve_jobs(jobs)
-        self._lock = threading.Lock()
-        self._process: Optional[ProcessBackend] = None
-        self._serial = SerialBackend()
-
-    def select(self, n_samples: int, min_samples: int) -> str:
-        """``"process"`` when the kernel is big enough to amortize dispatch
-        and at least two CPUs are available; ``"serial"`` otherwise."""
-        if (
-            n_samples >= min_samples
-            and self.jobs > 1
-            and effective_cpu_count() >= 2
-        ):
-            return "process"
-        return "serial"
-
-    def process_backend(self) -> ProcessBackend:
-        """The shared process pool, created on first use."""
-        with self._lock:
-            if self._process is None:
-                self._process = ProcessBackend(self.jobs)
-            return self._process
-
-    def map(self, fn, items, timeout=None, retries=0, retry_policy=None,
-            deadline=None):
-        return self._serial.map(
-            fn, items, timeout=timeout, retries=retries,
-            retry_policy=retry_policy, deadline=deadline,
-        )
-
-    def close(self) -> None:
-        with self._lock:
-            process, self._process = self._process, None
-        if process is not None:
-            process.close()
-
-
 def _resolve_jobs(jobs: int) -> int:
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0 (0 = one per CPU), got {jobs}")
-    return jobs or (os.cpu_count() or 1)
+    return jobs or effective_cpu_count()
 
 
 def get_backend(kind: Optional[str] = "serial", jobs: int = 1) -> ExecutionBackend:
     """Instantiate a backend by name.
 
-    ``jobs <= 1`` (or ``kind in (None, "serial")``) always yields the
-    serial backend — except for ``"auto"``, whose whole point is to make
-    that call from the problem size at evaluation time, so it is returned
-    as-is and sizes its pool from the CPU count when ``jobs <= 1``.
+    ``jobs=0`` sizes a thread or process pool at one worker per usable CPU
+    (:func:`effective_cpu_count`); ``jobs=1`` (or ``kind in (None,
+    "serial")``) always yields the serial backend.
     """
     if kind is not None and kind not in BACKEND_KINDS:
         raise KeyError(f"unknown backend {kind!r}; known: {BACKEND_KINDS}")
-    if kind == "auto":
-        return AutoBackend(jobs if jobs > 1 else 0)
-    if kind in (None, "serial") or jobs <= 1:
+    if kind in (None, "serial") or jobs == 1:
         return SerialBackend()
     if kind == "thread":
         return ThreadBackend(jobs)
     return ProcessBackend(jobs)
+
+
+def resolve_backend(
+    backend: Any, jobs: int = 1
+) -> Tuple[str, Optional[ExecutionBackend], int, bool]:
+    """Normalize ``backend``/``jobs`` to ``(kind, pool, n_chunks, owned)``.
+
+    ``backend`` is ``None``, a name from :data:`BACKEND_KINDS` (resolved
+    through :func:`get_backend`, so ``jobs=0`` means one worker per usable
+    CPU) or an :class:`ExecutionBackend`.  ``kind`` is ``"serial"``,
+    ``"thread"`` or ``"process"``; ``pool`` is ``None`` for the serial
+    kind.  Backends other than the process pool get the in-process
+    (``"thread"``) treatment, since their tasks may share memory with the
+    caller.  ``n_chunks`` is ``jobs`` when it exceeds one, else the pool's
+    worker count.  ``owned`` is True when this call created the pool from a
+    name and the caller must close it; pass a backend object to reuse one
+    pool across calls.
+    """
+    if backend is None or isinstance(backend, SerialBackend):
+        return "serial", None, 1, False
+    owned = isinstance(backend, str)
+    if owned:
+        backend = get_backend(backend, jobs)
+        if isinstance(backend, SerialBackend):
+            return "serial", None, 1, False
+    if not isinstance(backend, ExecutionBackend):
+        raise TypeError(f"unsupported execution backend: {backend!r}")
+    kind = "process" if isinstance(backend, ProcessBackend) else "thread"
+    n_chunks = jobs if jobs > 1 else max(int(getattr(backend, "jobs", 1)), 1)
+    return kind, backend, n_chunks, owned

@@ -4,7 +4,7 @@ Endpoints:
 
 * ``POST /plan``      — compute or fetch a reservation plan (plan cache);
 * ``POST /evaluate``  — Monte-Carlo re-evaluation of a plan's reservations;
-* ``GET  /healthz``   — liveness + backend/cache summary (never throttled);
+* ``GET  /healthz``   — liveness + cache/resilience summary (never throttled);
 * ``GET  /metrics``   — the full metrics registry + cache stats as JSON.
 
 Admission control: at most ``max_inflight`` POST requests execute
@@ -24,7 +24,7 @@ next boot's ``--warm-start``.
 Resilience: every admitted POST passes the ``server.request``
 fault-injection site, and ``--fault-spec`` installs a
 :class:`repro.resilience.faults.FaultPlan` at boot (equivalent to setting
-``REPRO_FAULTS``); the breaker / deadline knobs feed the planner's
+``REPRO_FAULTS``); ``--request-deadline`` feeds the planner's
 :class:`~repro.service.planner.ResilienceOptions`.  See
 ``docs/RESILIENCE.md``.
 
@@ -49,7 +49,6 @@ from repro.resilience import faults
 from repro.resilience.faults import FaultPlan
 from repro.service.plancache import PlanCache
 from repro.service.planner import PlannerService, ResilienceOptions, ServiceError
-from repro.service.pool import get_backend
 from repro.service.router import ShardFleet
 
 __all__ = ["PlanServer", "serve", "main"]
@@ -208,7 +207,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-serve",
         description="Serve reservation plans over JSON/HTTP with a plan "
-        "cache and a parallel execution backend.",
+        "cache and a serial Monte-Carlo evaluator behind a degradation "
+        "ladder.",
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument(
@@ -240,16 +240,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--ttl", type=float, default=None, help="plan cache TTL in seconds"
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("serial", "thread", "process", "auto"),
-        default="thread",
-        help="execution backend for Monte-Carlo evaluation (default: thread; "
-        "'auto' picks serial or process per request by problem size)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=0, help="worker count (0 = one per CPU)"
     )
     parser.add_argument(
         "--max-inflight",
@@ -291,32 +281,6 @@ def main(argv=None) -> int:
         help="wall-clock budget per plan/evaluate computation (default: none)",
     )
     parser.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=3,
-        help="consecutive MC-backend failures before the breaker opens",
-    )
-    parser.add_argument(
-        "--breaker-recovery",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="seconds the breaker stays open before half-opening a probe",
-    )
-    parser.add_argument(
-        "--mc-task-timeout",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="per-attempt timeout for one parallel Monte-Carlo chunk",
-    )
-    parser.add_argument(
-        "--mc-task-retries",
-        type=int,
-        default=2,
-        help="resubmissions per failed/hung Monte-Carlo chunk",
-    )
-    parser.add_argument(
         "--drain-timeout",
         type=float,
         default=30.0,
@@ -349,16 +313,9 @@ def main(argv=None) -> int:
         cache = PlanCache(maxsize=args.cache_size, ttl=args.ttl)
     service = PlannerService(
         cache=cache,
-        backend=get_backend(args.backend, args.jobs),
         n_samples=args.n_samples,
         seed=args.seed,
-        resilience=ResilienceOptions(
-            request_deadline_s=args.request_deadline,
-            mc_task_timeout_s=args.mc_task_timeout,
-            mc_task_retries=args.mc_task_retries,
-            breaker_failure_threshold=args.breaker_threshold,
-            breaker_recovery_s=args.breaker_recovery,
-        ),
+        resilience=ResilienceOptions(request_deadline_s=args.request_deadline),
     )
     if args.warm_start:
         if isinstance(cache, PlanCache):
@@ -395,7 +352,7 @@ def main(argv=None) -> int:
     host = server.server_address[0]
     print(
         f"repro-serve listening on http://{host}:{server.port} "
-        f"(backend={service.backend.kind}, cache={service.cache.maxsize}, "
+        f"(cache={service.cache.maxsize}, "
         f"workers={args.workers}, max_inflight={args.max_inflight})",
         flush=True,
     )

@@ -32,10 +32,7 @@ which either the explicit index matrix (matrix kernel) or per-row cost
 moments (moments kernel) follow.
 
 Backend strings accepted everywhere: ``"serial"``, ``"thread"``,
-``"process"``, ``"auto"`` (see :mod:`repro.service.pool`); ``"auto"``
-engages the process pool only above the documented element-count
-thresholds and on ≥ 2 CPUs, and counts every decision under
-``mc.batch.backend.<kind>``.
+``"process"``, resolved by :func:`repro.service.pool.resolve_backend`.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ from repro.observability import metrics
 from repro.resilience import faults
 from repro.simulation.monte_carlo import (
     MonteCarloResult,
-    PROCESS_COVERAGE_TAIL,
+    _coverage_horizon,
     _result_from_partials,
     _sample_and_cost_chunk,
     kernel_costs_and_indices,
@@ -66,15 +63,8 @@ __all__ = [
     "batch_cost_matrix",
     "batch_expected_costs",
     "monte_carlo_many",
-    "AUTO_PROCESS_MIN_ELEMENTS",
     "MATRIX_KERNEL_MAX_ELEMENTS",
 ]
-
-#: ``backend="auto"`` in :func:`batch_expected_costs` /
-#: :func:`monte_carlo_many` engages the process pool only when the total
-#: work (sequences x samples) reaches this many elements; below it, pool
-#: dispatch plus pickling costs more than the vectorized serial kernel.
-AUTO_PROCESS_MIN_ELEMENTS = 8_000_000
 
 #: Soft cap on ``S * N`` for the matrix kernel (it materializes an
 #: ``(S, N)`` float64 matrix — 8 bytes per element).  Callers that only
@@ -329,7 +319,7 @@ def _moments_block_task(args):
     memory block the driver published (process workers attach instead of
     unpickling N floats per task).
     """
-    faults.fire("mc.chunk")
+    faults.fire("mc.chunk")  # repro-lint: disable=RS203 -- raising out of the public parallel MC APIs is their contract; chaos tests assert the raise, and the serving path runs no pool
     samples, block, cost_model = args
     if isinstance(samples, tuple):
         name, n = samples
@@ -358,46 +348,6 @@ def _check_coverage(batch: ReservationBatch, horizon: float) -> None:
         )
 
 
-def _select_batch_backend(backend, jobs: int, n_elements: int):
-    """Normalize ``backend`` to ``(kind, pool, owned)``.
-
-    ``kind`` is ``"serial" | "thread" | "process"``; ``owned`` is True when
-    the pool was created here (string argument) and the caller must close it
-    after the map — pass a backend *object* to reuse a pool across calls.
-    """
-    from repro.service.pool import (
-        AutoBackend,
-        ProcessBackend,
-        SerialBackend,
-        ThreadBackend,
-        effective_cpu_count,
-        get_backend,
-    )
-
-    owned = False
-    if backend is None:
-        backend = "serial"
-    if isinstance(backend, str):
-        if backend == "auto":
-            backend = AutoBackend(jobs)
-        else:
-            backend = get_backend(backend, jobs if jobs > 1 else effective_cpu_count())
-        owned = True
-    if isinstance(backend, AutoBackend):
-        kind = backend.select(n_elements, AUTO_PROCESS_MIN_ELEMENTS)
-        metrics.inc(f"mc.batch.backend.{kind}")
-        if kind == "process":
-            return "process", backend.process_backend(), owned
-        return "serial", None, False
-    if isinstance(backend, SerialBackend):
-        return "serial", None, False
-    if isinstance(backend, ProcessBackend):
-        return "process", backend, owned
-    if isinstance(backend, ThreadBackend):
-        return "thread", backend, owned
-    raise TypeError(f"unsupported backend for batched kernels: {backend!r}")
-
-
 def batch_expected_costs(
     batch: ReservationBatch,
     times: np.ndarray,
@@ -418,8 +368,7 @@ def batch_expected_costs(
 
     ``backend="process"`` shards the rows across workers; the sorted sample
     block is published once via shared memory (``mc.batch.shm_bytes``) and
-    each task pickles only its row block.  ``backend="auto"`` picks serial
-    or process from ``S * N`` (:data:`AUTO_PROCESS_MIN_ELEMENTS`).
+    each task pickles only its row block.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -433,7 +382,9 @@ def batch_expected_costs(
     metrics.inc("mc.batch.sequences", S)
     metrics.inc("mc.batch.samples", S * N)
 
-    kind, pool, owned = _select_batch_backend(backend, jobs, S * N)
+    from repro.service.pool import resolve_backend
+
+    kind, pool, n_chunks, owned = resolve_backend(backend, jobs)
     feasible_rows = np.nonzero(batch.feasible)[0]
 
     order = np.argsort(times, kind="stable")
@@ -453,7 +404,7 @@ def batch_expected_costs(
         else:
             sums, sums_sq, max_index = _sharded_moments(
                 batch.matrix[feasible_rows], ts, cost_model, kind, pool,
-                task_timeout, task_retries,
+                n_chunks, task_timeout, task_retries,
             )
     finally:
         if owned:
@@ -485,14 +436,14 @@ def _sharded_moments(
     cost_model: CostModel,
     kind: str,
     pool,
+    n_chunks: int,
     task_timeout,
     task_retries,
 ):
     """Fan the moments kernel over row blocks on a thread/process pool."""
     from repro.service.pool import chunk_sizes
 
-    workers = max(int(getattr(pool, "jobs", 1)), 1)
-    sizes = chunk_sizes(matrix.shape[0], workers)
+    sizes = chunk_sizes(matrix.shape[0], n_chunks)
     blocks: List[np.ndarray] = []
     start = 0
     for size in sizes:
@@ -551,7 +502,7 @@ def monte_carlo_many(
     dominated by serial sampling; see ``docs/PERFORMANCE.md``).
 
     **Backend-invariant:** results are bit-identical across serial, thread,
-    process, and auto backends for a fixed ``(seed, n_samples)`` — every
+    and process backends for a fixed ``(seed, n_samples)`` — every
     backend runs the same per-sequence task on the same spawned stream; only
     where it runs changes.
     """
@@ -563,9 +514,9 @@ def monte_carlo_many(
     metrics.inc("mc.batch.sequences", len(sequences))
     metrics.inc("mc.batch.samples", len(sequences) * n_samples)
 
-    kind, pool, owned = _select_batch_backend(
-        backend, jobs, len(sequences) * n_samples
-    )
+    from repro.service.pool import resolve_backend
+
+    kind, pool, _, owned = resolve_backend(backend, jobs)
     children = spawn_seed_sequences(seed, len(sequences))
     horizon = _coverage_horizon(distribution)
     value_arrays: List[np.ndarray] = []
@@ -611,10 +562,3 @@ def monte_carlo_many(
             _result_from_partials([partial[:3]], n_samples, n_reservations)
         )
     return results
-
-
-def _coverage_horizon(distribution) -> float:
-    upper = float(distribution.upper)
-    if np.isfinite(upper):
-        return upper
-    return float(distribution.quantile(1.0 - PROCESS_COVERAGE_TAIL))

@@ -8,7 +8,8 @@ failure costs accumulates the paid-but-failed reservations — no per-sample
 Python loop (cf. the hpc-parallel guide on vectorizing).
 
 Backends (``backend=`` may be a :class:`repro.service.pool.ExecutionBackend`
-or one of the strings ``"serial"``, ``"thread"``, ``"process"``, ``"auto"``):
+or one of the strings ``"serial"``, ``"thread"``, ``"process"``, resolved by
+:func:`repro.service.pool.resolve_backend`):
 
 * **serial** — the historical single-pass kernel, bit-identical for a fixed
   seed.  Always used for ``jobs=1`` with no explicit backend.
@@ -21,10 +22,10 @@ or one of the strings ``"serial"``, ``"thread"``, ``"process"``, ``"auto"``):
   bit-for-bit for the same ``(seed, jobs)``), shipping only a seed and the
   materialized reservation values — never the sample block — across the
   process boundary.  Sampling and costing both parallelize.
-* **auto** — picks serial or process by problem size (see
-  :data:`AUTO_PROCESS_MIN_SAMPLES`); the thread backend is never
-  auto-selected — per-chunk GIL hand-offs made it *slower* than serial on
-  this kernel (``BENCH_service.json``, ``mc_10k_thread_vs_serial``).
+
+Nothing selects a pool by problem size: one estimate of up to a few hundred
+thousand samples is fastest on the serial kernel (``docs/PERFORMANCE.md``),
+so callers that want a pool name it.
 
 Evaluating a whole *grid* of candidate sequences against one shared sample
 set lives in :mod:`repro.simulation.batch`, which amortizes everything above
@@ -58,14 +59,8 @@ __all__ = [
     "MonteCarloResult",
     "costs_for_times",
     "monte_carlo_expected_cost",
-    "AUTO_PROCESS_MIN_SAMPLES",
     "PROCESS_COVERAGE_TAIL",
 ]
-
-#: ``backend="auto"`` only engages the process backend at or above this many
-#: samples — below it, pool dispatch overhead exceeds the kernel time and the
-#: serial single-pass kernel wins.
-AUTO_PROCESS_MIN_SAMPLES = 200_000
 
 #: Tail mass used to pre-extend a sequence before process dispatch: workers
 #: cannot run extender closures, so the driver materializes reservations out
@@ -176,10 +171,9 @@ def _chunk_task(args) -> tuple[float, float, int]:
     before dispatch, so covering chunks never extend concurrently).
 
     Tagged as the ``mc.chunk`` fault-injection site: chaos drills can make
-    individual chunks raise or hang without touching the serial kernel,
-    which the degradation ladder keeps as its fallback.
+    individual chunks raise or hang without touching the serial kernel.
     """
-    faults.fire("mc.chunk")
+    faults.fire("mc.chunk")  # repro-lint: disable=RS203 -- raising out of the public parallel MC APIs is their contract; chaos tests assert the raise, and the serving path runs no pool
     sequence, times, cost_model = args
     costs, k = _costs_and_indices(sequence, times, cost_model)
     return float(costs.sum()), float(np.dot(costs, costs)), int(k.max())
@@ -197,7 +191,7 @@ def _sample_and_cost_chunk(args):
 
     Also a ``mc.chunk`` fault-injection site, like the pre-sampled variant.
     """
-    faults.fire("mc.chunk")  # repro-lint: disable=RS203 -- raising out of the public batch API (monte_carlo_many) is its contract; chaos tests assert the raise, and every service-tier path is absorbed by run_ladder
+    faults.fire("mc.chunk")  # repro-lint: disable=RS203 -- raising out of the public parallel MC APIs is their contract; chaos tests assert the raise, and the serving path runs no pool
     distribution, child_seed, n, values, cost_model = args
     rng = np.random.default_rng(child_seed)
     times = np.asarray(distribution.rvs(n, seed=rng), dtype=float)
@@ -237,71 +231,6 @@ def _coverage_horizon(distribution) -> float:
     return float(distribution.quantile(1.0 - PROCESS_COVERAGE_TAIL))
 
 
-def _resolve_backend(backend, jobs: int, n_samples: int):
-    """Normalize ``backend``/``jobs`` to ``(kind, backend, jobs, owned)``.
-
-    ``kind`` is one of ``"serial"``, ``"thread"``, ``"process"``; the
-    returned backend is ``None`` for the serial kind and otherwise an
-    :class:`~repro.service.pool.ExecutionBackend`.  ``owned`` is True when
-    this call *created* the pool (string argument or the historical
-    ``jobs>1`` default) and must close it afterwards — reuse a backend
-    object across calls to amortize pool startup.  ``"auto"`` (string or
-    :class:`~repro.service.pool.AutoBackend`) applies the documented
-    problem-size policy; a caller-supplied AutoBackend keeps ownership of
-    its shared process pool.
-    """
-    # Deferred import: repro.service imports this module for the planner.
-    from repro.service.pool import (
-        AutoBackend,
-        ProcessBackend,
-        SerialBackend,
-        ThreadBackend,
-        effective_cpu_count,
-        get_backend,
-    )
-
-    owned = False
-    if backend is None:
-        if jobs > 1:
-            return "thread", get_backend("thread", jobs), jobs, True
-        return "serial", None, 1, False
-
-    if isinstance(backend, str):
-        if backend == "auto":
-            backend = AutoBackend(jobs if jobs > 1 else 0)
-        else:
-            resolved_jobs = jobs if jobs > 1 else effective_cpu_count()
-            backend = get_backend(backend, resolved_jobs)
-            if isinstance(backend, SerialBackend):
-                return "serial", None, 1, False
-        owned = True
-
-    if isinstance(backend, AutoBackend):
-        kind = backend.select(n_samples, AUTO_PROCESS_MIN_SAMPLES)
-        metrics.inc(f"mc.batch.backend.{kind}")
-        if kind == "serial":
-            if owned:
-                backend.close()
-            return "serial", None, 1, False
-        # Hand back the underlying pool; an owned (ephemeral) AutoBackend's
-        # pool is closed after the call, a caller-supplied one keeps its
-        # shared pool alive across calls.
-        return "process", backend.process_backend(), backend.jobs, owned
-
-    if isinstance(backend, SerialBackend):
-        return "serial", None, 1, False
-    if isinstance(backend, ProcessBackend):
-        return "process", backend, jobs if jobs > 1 else backend.jobs, owned
-    if isinstance(backend, ThreadBackend):
-        return "thread", backend, jobs if jobs > 1 else backend.jobs, owned
-    # Unknown ExecutionBackend implementations get the pre-sampled chunk
-    # treatment (the historical contract for custom backends).
-    return (
-        "thread", backend, jobs if jobs > 1 else int(getattr(backend, "jobs", 1)),
-        owned,
-    )
-
-
 def monte_carlo_expected_cost(
     sequence: ReservationSequence,
     distribution,
@@ -333,7 +262,12 @@ def monte_carlo_expected_cost(
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
 
-    kind, resolved, n_chunks, owned = _resolve_backend(backend, jobs, n_samples)
+    # Deferred import: repro.service imports this module for the planner.
+    from repro.service.pool import chunk_sizes, resolve_backend
+
+    if backend is None and jobs > 1:
+        backend = "thread"
+    kind, resolved, n_chunks, owned = resolve_backend(backend, jobs)
 
     if kind == "serial":
         rng = as_generator(seed)
@@ -347,9 +281,6 @@ def monte_carlo_expected_cost(
             n_reservations_used=len(sequence),
             max_reservations_hit=int(k.max()) + 1,
         )
-
-    # Deferred import: repro.service imports this module for the planner.
-    from repro.service.pool import chunk_sizes
 
     # Fewer samples than workers: chunk_sizes collapses to one sample per
     # chunk, so no chunk is ever empty (an empty chunk would make the

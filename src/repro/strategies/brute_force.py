@@ -97,11 +97,6 @@ class BruteForce(Strategy):
         pass costs every (candidate, sample) pair.  Scan results (points,
         feasibility, winner) are identical to the per-candidate loop; set
         ``batch=False`` to force the historical loop.
-    backend:
-        Forwarded to :func:`repro.simulation.batch.batch_expected_costs`
-        when a batched scan is too large for the exact matrix kernel
-        (``m_grid * n_samples > MATRIX_KERNEL_MAX_ELEMENTS``) and falls
-        back to the sharded moments kernel.
     """
 
     name = "brute_force"
@@ -113,7 +108,6 @@ class BruteForce(Strategy):
         evaluation: Literal["monte_carlo", "series"] = "monte_carlo",
         seed: SeedLike = None,
         batch: bool = True,
-        backend=None,
     ):
         if m_grid < 1:
             raise ValueError(f"m_grid must be >= 1, got {m_grid}")
@@ -126,7 +120,6 @@ class BruteForce(Strategy):
         self.evaluation = evaluation
         self.seed = seed
         self.batch = batch
-        self.backend = backend
 
     # ------------------------------------------------------------------
     def candidate_cost(
@@ -231,9 +224,7 @@ class BruteForce(Strategy):
             if grid.n_sequences * samples.size <= MATRIX_KERNEL_MAX_ELEMENTS:
                 means = batch_cost_matrix(grid, samples, cost_model).mean(axis=1)
             else:
-                means = batch_expected_costs(
-                    grid, samples, cost_model, backend=self.backend
-                ).mean_cost
+                means = batch_expected_costs(grid, samples, cost_model).mean_cost
             points = [
                 ScanPoint(
                     t1=float(t1s[i]),

@@ -2,7 +2,7 @@
 Monte-Carlo backends.
 
 The batch rework moved sampling *into* process-pool workers
-(``_sample_and_cost_chunk``), so three properties need guarding here:
+(``_sample_and_cost_chunk``), so two properties need guarding here:
 
 * a fixed ``(seed, jobs, backend)`` triple reproduces bit-identically on
   every backend kind, and thread/process agree with each other;
@@ -10,10 +10,7 @@ The batch rework moved sampling *into* process-pool workers
   the driver as the real :class:`InjectedFault` (pickle roundtrip via
   ``__reduce__``), both through ``faults.installed`` (fork inheritance)
   and through the ``REPRO_FAULTS`` environment (the documented child
-  path);
-* the planner's degradation ladder still catches the faulted rung and
-  lands on a serial fallback when the configured backend is a process
-  pool.
+  path).
 """
 
 from __future__ import annotations
@@ -26,8 +23,7 @@ from repro.core.sequence import ReservationSequence
 from repro.distributions.lognormal import LogNormal
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan, FaultRule, InjectedFault
-from repro.service.planner import PlannerService, ResilienceOptions
-from repro.service.pool import PoolError, ProcessBackend, ThreadBackend
+from repro.service.pool import PoolError, ProcessBackend
 from repro.simulation.batch import monte_carlo_many
 from repro.simulation.monte_carlo import monte_carlo_expected_cost
 
@@ -71,7 +67,7 @@ def estimate(kind, jobs, seed=11, n_samples=300):
 class TestSeedDeterminismMatrix:
     """Fixed (seed, jobs, backend) must reproduce exactly on every kind."""
 
-    @pytest.mark.parametrize("kind", ["serial", "thread", "process", "auto"])
+    @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_repeat_call_is_bit_identical(self, registry, kind, jobs):
         a = estimate(kind, jobs)
@@ -89,15 +85,7 @@ class TestSeedDeterminismMatrix:
         assert t.mean_cost == p.mean_cost
         assert t.std_error == p.std_error
 
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_auto_below_threshold_matches_serial(self, registry, jobs):
-        """300 samples is far below AUTO_PROCESS_MIN_SAMPLES: auto == serial."""
-        auto = estimate("auto", jobs)
-        serial = estimate("serial", 1)
-        assert auto.mean_cost == serial.mean_cost
-        assert auto.std_error == serial.std_error
-
-    @pytest.mark.parametrize("kind", ["serial", "thread", "process", "auto"])
+    @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
     def test_monte_carlo_many_matrix(self, registry, kind):
         """The coarse-grained batch API is backend-invariant, so the whole
         matrix collapses onto the serial reference."""
@@ -174,49 +162,3 @@ class TestProcessChunkFaultDrill:
                         [make_sequence(d), make_sequence(d)], d, cm,
                         n_samples=64, seed=1, backend=backend,
                     )
-
-
-# ----------------------------------------------------------------------
-class TestLadderUnderProcessBackend:
-    """The planner's degradation ladder with a process pool on rung one."""
-
-    REQUEST = {
-        "distribution": {"law": "lognormal", "params": {"mu": 3.0, "sigma": 0.5}},
-        "strategy": "mean_by_mean",
-        "n_samples": 600,
-        "seed": 9,
-    }
-
-    def _chaos_options(self):
-        return ResilienceOptions(
-            mc_task_timeout_s=5.0,
-            mc_task_retries=0,
-            breaker_failure_threshold=1,
-            breaker_recovery_s=60.0,
-        )
-
-    def test_chunk_faults_degrade_to_serial_mc(self, registry):
-        plan = FaultPlan([FaultRule(site="mc.chunk", mode="error")])
-        with faults.installed(plan):
-            with ProcessBackend(2) as backend:
-                service = PlannerService(
-                    backend=backend, resilience=self._chaos_options()
-                )
-                response = service.plan(self.REQUEST)
-        assert response["degraded"] is True
-        assert response["evaluator"] == "mc_serial_reduced"
-        outcomes = {a["evaluator"]: a["outcome"] for a in response["attempts"]}
-        assert outcomes["mc"] == "error"
-        assert outcomes["mc_serial_reduced"] == "ok"
-
-    def test_thread_backend_chunk_faults_degrade_too(self, registry):
-        """The same drill against threads: mc.chunk fires in-process there."""
-        plan = FaultPlan([FaultRule(site="mc.chunk", mode="error")])
-        with faults.installed(plan):
-            with ThreadBackend(2) as backend:
-                service = PlannerService(
-                    backend=backend, resilience=self._chaos_options()
-                )
-                response = service.plan(self.REQUEST)
-        assert response["degraded"] is True
-        assert response["evaluator"] == "mc_serial_reduced"

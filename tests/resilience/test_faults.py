@@ -205,6 +205,6 @@ class TestCallSiteHelpers:
 
     def test_registry_documents_builtin_sites(self):
         sites = faults.known_sites()
-        for site in ("pool.worker", "mc.chunk", "plancache.save",
+        for site in ("pool.worker", "mc.chunk", "planner.mc", "plancache.save",
                      "plancache.load", "server.request"):
             assert site in sites

@@ -56,7 +56,7 @@ def test_sigterm_mid_flight_drains_then_snapshots(tmp_path):
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.service.server",
-            "--port", "0", "--backend", "serial", "--jobs", "1",
+            "--port", "0",
             "--n-samples", "200", "--snapshot-out", snapshot,
         ],
         stdout=subprocess.PIPE,

@@ -11,6 +11,7 @@ from repro.service.planner import (
     PlannerService,
     ServiceError,
 )
+from repro.service.pool import ProcessBackend
 
 REQUEST = {
     "distribution": {"law": "lognormal", "params": {"mu": 3.0, "sigma": 0.5}},
@@ -107,6 +108,25 @@ class TestValidation:
         with pytest.raises(ServiceError, match=match):
             service.plan(request_)
 
+    def test_strategy_knobs_cannot_start_a_pool(self, service, monkeypatch):
+        """Knobs are forwarded to the strategy, so no strategy may accept
+        one that makes a request spawn (and tear down) an execution pool."""
+
+        def no_pools(self, jobs=0):
+            raise AssertionError("a request started a process pool")
+
+        monkeypatch.setattr(ProcessBackend, "__init__", no_pools)
+        request = dict(
+            REQUEST,
+            strategy={
+                "name": "brute_force",
+                "knobs": {"backend": "process", "m_grid": 30000},
+            },
+        )
+        with pytest.raises(ServiceError, match="bad strategy knobs") as excinfo:
+            service.plan(request)
+        assert excinfo.value.status == 400
+
     def test_service_error_status_defaults_to_400(self):
         assert ServiceError("nope").status == 400
         assert ServiceError("big", status=413).status == 413
@@ -142,7 +162,6 @@ class TestIntrospection:
     def test_health_payload(self, service):
         health = service.health()
         assert health["status"] == "ok"
-        assert health["backend"] == "serial"
         assert health["cache"]["maxsize"] == 8
 
     def test_uptime_survives_wall_clock_step_backwards(self, service, monkeypatch):
@@ -177,8 +196,3 @@ class TestIntrospection:
         assert counters["plancache.hits"] == 1
         assert counters["plancache.misses"] >= 1
         assert payload["cache"]["size"] == 1
-
-    def test_from_options_builds_thread_backend(self):
-        svc = PlannerService.from_options(backend="thread", jobs=2)
-        assert svc.backend.kind == "thread"
-        svc.backend.close()

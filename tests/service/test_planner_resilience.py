@@ -1,4 +1,4 @@
-"""Planner degradation ladder: bit-compatibility, fallbacks, breaker arc."""
+"""Planner degradation ladder: bit-compatibility and fallbacks."""
 
 from __future__ import annotations
 
@@ -9,10 +9,8 @@ from repro.core.cost import CostModel
 from repro.core.sequence import ReservationSequence
 from repro.distributions.registry import make_distribution
 from repro.resilience import faults
-from repro.resilience.breaker import OPEN
 from repro.resilience.faults import FaultPlan, FaultRule
 from repro.service.planner import PlannerService, ResilienceOptions
-from repro.service.pool import ThreadBackend
 from repro.simulation.monte_carlo import monte_carlo_expected_cost
 
 REQUEST = {
@@ -30,16 +28,7 @@ def registry(isolated_obs):
     return reg
 
 
-def chaos_options(**overrides):
-    """Options tuned so drills fail fast instead of sleeping through retries."""
-    defaults = dict(
-        mc_task_timeout_s=2.0,
-        mc_task_retries=0,
-        breaker_failure_threshold=1,
-        breaker_recovery_s=60.0,
-    )
-    defaults.update(overrides)
-    return ResilienceOptions(**defaults)
+MC_FAULT = FaultPlan([FaultRule(site="planner.mc", mode="error")])
 
 
 class TestBitCompatibility:
@@ -77,35 +66,44 @@ class TestBitCompatibility:
 
 
 class TestDegradation:
-    def test_worker_faults_degrade_to_serial_mc(self, registry):
-        plan = FaultPlan([FaultRule(site="pool.worker", mode="error")])
-        with ThreadBackend(2) as backend:
-            service = PlannerService(backend=backend, resilience=chaos_options())
-            with faults.installed(plan):
-                response = service.plan({**REQUEST, "n_samples": 2000})
+    def test_mc_fault_degrades_to_quadrature(self, registry):
+        service = PlannerService()
+        with faults.installed(FaultPlan.from_spec("planner.mc:error:1")):
+            response = service.plan(REQUEST)
         assert response["degraded"] is True
-        assert response["evaluator"] == "mc_serial_reduced"
+        assert response["evaluator"] == "quadrature"
         outcomes = {a["evaluator"]: a["outcome"] for a in response["attempts"]}
-        assert outcomes == {"mc": "error", "mc_serial_reduced": "ok"}
-        # Reduced fidelity is bounded: max(min_samples, fraction * 2000).
-        assert response["statistics"]["n_samples"] == 500
+        assert outcomes == {"mc": "error", "quadrature": "ok"}
+        assert "InjectedFault" in response["attempts"][0]["error"]
+        # The analytic rung has no sampling statistics to report.
+        assert response["statistics"]["std_error"] is None
+        assert response["statistics"]["n_samples"] is None
 
     def test_degraded_answer_is_close_to_truth(self, registry):
-        plan = FaultPlan([FaultRule(site="pool.worker", mode="error")])
         truth = PlannerService().plan(REQUEST)["statistics"]["expected_cost"]
-        with ThreadBackend(2) as backend:
-            service = PlannerService(backend=backend, resilience=chaos_options())
-            with faults.installed(plan):
-                degraded = service.plan(REQUEST)["statistics"]["expected_cost"]
+        service = PlannerService()
+        with faults.installed(MC_FAULT):
+            degraded = service.plan(REQUEST)["statistics"]["expected_cost"]
         assert degraded == pytest.approx(truth, rel=0.2)
+
+    def test_disabled_ladder_never_fires_the_mc_site(self, registry):
+        service = PlannerService(resilience=ResilienceOptions.disabled())
+        with faults.installed(MC_FAULT):
+            response = service.plan(REQUEST)
+        assert response["degraded"] is False
+        assert response["evaluator"] == "mc"
 
     def test_expired_deadline_falls_back_to_series(self, registry):
         service = PlannerService(
-            resilience=chaos_options(request_deadline_s=0.0)
+            resilience=ResilienceOptions(request_deadline_s=0.0)
         )
         response = service.evaluate(REQUEST)
         assert response["degraded"] is True
         assert response["evaluator"] == "series"
+        outcomes = [(a["evaluator"], a["outcome"]) for a in response["attempts"]]
+        assert outcomes == [
+            ("mc", "skipped"), ("quadrature", "skipped"), ("series", "ok"),
+        ]
         assert response["evaluation"]["std_error"] is None
         assert response["evaluation"]["ci95"] is None
         assert response["evaluation"]["expected_cost"] > 0
@@ -119,34 +117,10 @@ class TestDegradation:
         assert second["evaluator"] == "mc"
 
 
-class TestBreakerIntegration:
-    def test_breaker_opens_and_rejects_without_running_backend(self, registry):
-        plan = FaultPlan([FaultRule(site="pool.worker", mode="error")])
-        with ThreadBackend(2) as backend:
-            service = PlannerService(backend=backend, resilience=chaos_options())
-            with faults.installed(plan):
-                service.evaluate(REQUEST)
-            assert service.breaker.state == OPEN
-            # Faults are gone, but the breaker still short-circuits rung 1
-            # (recovery_s=60 with no clock advance): CircuitOpen -> fallback.
-            response = service.evaluate({**REQUEST, "seed": 6})
-        assert response["degraded"] is True
-        attempts = {a["evaluator"]: a for a in response["attempts"]}
-        assert "CircuitOpen" in attempts["mc"]["error"]
-        stats = service.breaker.stats()
-        assert stats["opened"] == 1
-        # One rejection per short-circuited evaluate ladder: the faulted
-        # request's own evaluation plus the follow-up request.
-        assert stats["rejections"] == 2
-
-    def test_health_and_metrics_expose_resilience(self, registry):
-        service = PlannerService()
-        health = service.health()
-        assert health["resilience"]["enabled"] is True
-        assert health["resilience"]["breaker"]["state"] == "closed"
-        assert service.metrics_payload()["breaker"]["name"] == "mc-backend"
-
-    def test_disabled_resilience_has_no_breaker(self, registry):
-        service = PlannerService(resilience=ResilienceOptions.disabled())
-        assert service.breaker is None
-        assert service.health()["resilience"]["breaker"] is None
+class TestIntrospection:
+    def test_health_exposes_resilience(self, registry):
+        health = PlannerService().health()
+        assert health["resilience"] == {"enabled": True, "faults": None}
+        with faults.installed(MC_FAULT):
+            health = PlannerService().health()
+        assert health["resilience"]["faults"] is not None

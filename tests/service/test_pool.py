@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -10,14 +11,13 @@ import pytest
 from repro import observability as obs
 from repro.service.pool import (
     BACKEND_KINDS,
-    AutoBackend,
     PoolError,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
     chunk_sizes,
-    effective_cpu_count,
     get_backend,
+    resolve_backend,
 )
 
 
@@ -80,20 +80,25 @@ class TestGetBackend:
             get_backend("fork-bomb", 2)
 
     def test_jobs_leq_one_is_always_serial(self):
-        # "auto" is exempt: its whole job is to make the serial-vs-process
-        # call from the problem size at evaluation time.
         for kind in BACKEND_KINDS:
-            if kind == "auto":
-                continue
             assert isinstance(get_backend(kind, 1), SerialBackend)
         assert isinstance(get_backend(None, 8), SerialBackend)
         assert isinstance(get_backend("serial", 8), SerialBackend)
 
-    def test_auto_kind_returns_auto_backend(self):
-        backend = get_backend("auto", 1)
-        assert isinstance(backend, AutoBackend)
-        assert backend.kind == "auto"
-        assert backend.jobs >= 1
+    def test_jobs_zero_is_one_worker_per_usable_cpu(self, monkeypatch):
+        # Affinity (taskset / cgroup cpusets) narrower than the machine:
+        # pools must size from the usable CPUs, not os.cpu_count().
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        with ThreadBackend(0) as b:
+            assert b.jobs == 3
+        with get_backend("thread", 0) as b:
+            assert isinstance(b, ThreadBackend) and b.jobs == 3
+        kind, pool, n_chunks, owned = resolve_backend("thread", 0)
+        try:
+            assert (kind, n_chunks, owned) == ("thread", 3, True)
+        finally:
+            pool.close()
 
     def test_parallel_kinds(self):
         with get_backend("thread", 2) as b:
@@ -240,39 +245,28 @@ class TestChunkingEdgeCases:
 
 
 # ----------------------------------------------------------------------
-class TestAutoBackend:
-    def test_select_small_problem_is_serial(self):
-        b = AutoBackend(4)
-        assert b.select(10_000, 200_000) == "serial"
+class TestResolveBackend:
+    def test_serial_forms(self):
+        for backend, jobs in ((None, 8), ("serial", 8), ("thread", 1),
+                              ("process", 1), (SerialBackend(), 4)):
+            assert resolve_backend(backend, jobs) == ("serial", None, 1, False)
 
-    def test_select_needs_multiple_cpus_and_jobs(self):
-        b = AutoBackend(4)
-        expected = "process" if effective_cpu_count() >= 2 else "serial"
-        assert b.select(10_000_000, 200_000) == expected
-        # jobs=1 can never win from a process pool.
-        solo = AutoBackend.__new__(AutoBackend)
-        solo.jobs = 1
-        assert AutoBackend.select(solo, 10_000_000, 200_000) == "serial"
-
-    def test_process_pool_is_lazy_and_shared(self):
-        b = AutoBackend(2)
-        assert b._process is None
+    def test_names_create_owned_pools(self):
+        kind, pool, n_chunks, owned = resolve_backend("thread", 2)
         try:
-            first = b.process_backend()
-            assert isinstance(first, ProcessBackend)
-            assert b.process_backend() is first
+            assert (kind, n_chunks, owned) == ("thread", 2, True)
+            assert isinstance(pool, ThreadBackend)
         finally:
-            b.close()
-        assert b._process is None
+            pool.close()
 
-    def test_map_contract_is_serial(self, registry):
-        b = AutoBackend(2)
-        try:
-            assert b.map(square, [1, 2, 3]) == [1, 4, 9]
-        finally:
-            b.close()
+    def test_objects_stay_with_the_caller(self):
+        with ThreadBackend(3) as thread, ProcessBackend(2) as process:
+            assert resolve_backend(thread, 0) == ("thread", thread, 3, False)
+            assert resolve_backend(thread, 5) == ("thread", thread, 5, False)
+            assert resolve_backend(process, 0) == ("process", process, 2, False)
 
-    def test_close_is_idempotent(self):
-        b = AutoBackend(2)
-        b.close()
-        b.close()
+    def test_rejects_unknown_backends(self):
+        with pytest.raises(KeyError, match="unknown backend"):
+            resolve_backend("auto", 2)
+        with pytest.raises(TypeError, match="unsupported execution backend"):
+            resolve_backend(42, 2)

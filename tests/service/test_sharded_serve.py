@@ -44,7 +44,6 @@ def sharded_server(tmp_path):
             "--port", "0",
             "--workers", "2",
             "--shard-dir", str(tmp_path / "shards"),
-            "--backend", "serial",
             "--n-samples", "400",
         ],
         stdout=subprocess.PIPE,

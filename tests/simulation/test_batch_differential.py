@@ -283,27 +283,12 @@ class TestBackendAgreement:
         for kwargs in (
             {"jobs": 2},
             {"jobs": 2, "backend": "process"},
-            {"backend": "auto"},
         ):
             other = monte_carlo_expected_cost(
                 seq, d, cost_model, n_samples=n, seed=1, **kwargs
             )
             tolerance = 4.0 * np.hypot(serial.std_error, other.std_error)
             assert abs(other.mean_cost - serial.mean_cost) <= tolerance, kwargs
-
-    def test_auto_small_problem_is_serial_bit_identical(self, cost_model):
-        from repro.distributions.gamma import Gamma
-
-        d = Gamma(2.0, 2.0)
-        seq = ReservationSequence(
-            [float(d.quantile(0.5))], extend=lambda cur: float(cur[-1]) * 2.0
-        )
-        auto = monte_carlo_expected_cost(
-            seq, d, cost_model, n_samples=500, seed=3, backend="auto"
-        )
-        serial = monte_carlo_expected_cost(seq, d, cost_model, n_samples=500, seed=3)
-        assert auto.mean_cost == serial.mean_cost
-        assert auto.std_error == serial.std_error
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +310,7 @@ class TestMonteCarloMany:
             self._sequences(d), d, cost_model, n_samples=400, seed=5,
             backend="serial",
         )
-        for backend, jobs in (("thread", 2), ("process", 2), ("auto", 0)):
+        for backend, jobs in (("thread", 2), ("process", 2)):
             other = monte_carlo_many(
                 self._sequences(d), d, cost_model, n_samples=400, seed=5,
                 backend=backend, jobs=jobs,
