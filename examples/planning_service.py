@@ -4,14 +4,15 @@
 Boots ``repro-serve`` in-process on an ephemeral port, then walks the full
 client round trip:
 
-1. ``GET  /healthz``  — liveness and backend/cache summary,
+1. ``GET  /healthz``  — liveness and cache summary,
 2. ``POST /plan``     — cold request: runs the strategy, caches the plan,
 3. ``POST /plan``     — identical request: answered from the plan cache
    (``cached: true``, no recomputation — the ``plancache.hits`` counter in
    ``/metrics`` is the proof),
 4. ``POST /evaluate`` — fresh Monte-Carlo numbers for the cached plan,
 5. ``GET  /metrics``  — cache and server counters,
-6. snapshot save/load — a restarted server warm-starts with the same keys.
+6. restart — the plan store journals every plan, so a service reopened
+   over the same directory (even after a crash) answers from the cache.
 
 The CI ``service`` job runs this script verbatim and relies on its exit
 code: every step ends in an ``assert``, so a broken cache or server fails
@@ -24,7 +25,8 @@ import tempfile
 import threading
 
 from repro import observability as obs
-from repro.service import PlanCache, PlannerService, ServiceClient, serve
+from repro.service import PlannerService, ServiceClient, serve
+from repro.service.shard import open_store
 
 # The `repro-serve` entry point enables instrumentation itself; an embedded
 # service needs it on explicitly for the /metrics counters to count.
@@ -34,11 +36,12 @@ PARAMS = {"mu": 3.0, "sigma": 0.5}
 
 # ----------------------------------------------------------------------
 # Boot an in-process server on an ephemeral port (the production path is
-# the `repro-serve` console script; same code, same endpoints).
+# the `repro-serve` console script; same code, same endpoints).  Like
+# `repro-serve --workers 0`, it caches plans in a journaled store.
 # ----------------------------------------------------------------------
-service = PlannerService(
-    cache=PlanCache(maxsize=64), n_samples=2000, seed=0
-)
+data_dir = tempfile.TemporaryDirectory(prefix="planning-service-")
+store, _ = open_store(data_dir.name, "plan store", maxsize=64)
+service = PlannerService(cache=store, n_samples=2000, seed=0)
 server = serve(service, host="127.0.0.1", port=0, max_inflight=8)
 thread = threading.Thread(target=server.serve_forever, daemon=True)
 thread.start()
@@ -49,7 +52,9 @@ try:
     # 1. Liveness.
     health = client.healthz()
     assert health["status"] == "ok"
-    print(f"healthz: backend={health['backend']}, cache={health['cache']}")
+    cache_stats = health["cache"]
+    print(f"healthz: cache size={cache_stats['size']}/{cache_stats['maxsize']}, "
+          f"journal={cache_stats['journal']['directory']}")
 
     # 2. Cold plan: the strategy (here the paper's Eq. 11 mean-by-mean
     #    heuristic) runs, the plan is cached under its content-hash key.
@@ -87,22 +92,27 @@ try:
     assert counters["plancache.hits"] >= 2
     assert counters["plancache.misses"] >= 1
 
-    # 6. Warm-start snapshot: a restarted service keeps the same keys.
-    with tempfile.NamedTemporaryFile(suffix=".json") as snap:
-        saved = service.cache.save(snap.name)
-        restarted = PlannerService(cache=PlanCache(maxsize=64), n_samples=2000)
-        loaded = restarted.cache.load(snap.name)
-        assert loaded == saved >= 1
+    # 6. Restart: every plan was journaled before it was served, so a
+    #    store reopened over the same directory replays the same keys.
+    store.close()
+    reopened, recovered = open_store(data_dir.name, "plan store", maxsize=64)
+    try:
+        assert recovered == len(store) >= 1
+        restarted = PlannerService(cache=reopened, n_samples=2000)
         replay = restarted.plan(
             {"distribution": {"law": "lognormal", "params": PARAMS},
              "strategy": "mean_by_mean"}
         )
-        assert replay["cached"] is True, "snapshot must warm-start the cache"
+        assert replay["cached"] is True, "the journal must warm the cache"
         assert replay["key"] == cold["key"]
-    print(f"snapshot:  {saved} plan(s) survived a simulated restart")
+    finally:
+        reopened.close()
+    print(f"restart:   {recovered} plan(s) replayed from the journal")
 
     print("\nAll service round-trip checks passed.")
 finally:
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
+    store.close()
+    data_dir.cleanup()

@@ -5,7 +5,8 @@ real subprocess on an ephemeral port and drive it over HTTP.
 Default mode (the `service` job) exercises the plan → evaluate → metrics
 round trip, asserts the second identical plan request was answered from the
 cache (the ``plancache.hits`` counter is the proof), then SIGTERMs and
-checks the graceful shutdown wrote the cache snapshot.
+checks the server exited cleanly with the plans journaled under its
+``--shard-dir``.
 
 ``--chaos`` (the `chaos` job) boots the server under the canned
 ``scripts/chaos_plan.json`` fault drill — a deterministic burst of failed
@@ -39,13 +40,13 @@ CHAOS_PLAN = os.path.join(os.path.dirname(__file__), "chaos_plan.json")
 
 
 def boot(extra_args, env=None):
-    snap = os.path.join(tempfile.mkdtemp(prefix="repro-serve-ci-"), "snap.json")
+    shard_dir = tempfile.mkdtemp(prefix="repro-serve-ci-")
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.service.server",
             "--port", "0",
             "--n-samples", "1000",
-            "--snapshot-out", snap,
+            "--shard-dir", shard_dir,
             *extra_args,
         ],
         stdout=subprocess.PIPE,
@@ -62,20 +63,21 @@ def boot(extra_args, env=None):
         if match:
             break
     assert match, "repro-serve never printed its listening line"
-    return proc, snap, int(match.group(1))
+    return proc, shard_dir, int(match.group(1))
 
 
-def shutdown(proc, snap):
+def shutdown(proc, shard_dir):
     proc.send_signal(signal.SIGTERM)
     code = proc.wait(timeout=30)
     print(proc.stdout.read(), end="")
     assert code == 0, f"repro-serve exited with {code}"
-    assert os.path.exists(snap), "graceful shutdown did not write the snapshot"
-    print("graceful shutdown + snapshot ok")
+    journal = os.path.join(shard_dir, "shard-0", "journal.jsonl")
+    assert os.path.exists(journal), "no plan journal under --shard-dir"
+    print("graceful shutdown + journal ok")
 
 
 def roundtrip(extra_args):
-    proc, snap, port = boot(extra_args)
+    proc, shard_dir, port = boot(extra_args)
     try:
         print(f"repro-serve up on port {port}")
         client = ServiceClient(f"http://127.0.0.1:{port}")
@@ -96,14 +98,14 @@ def roundtrip(extra_args):
         assert counters["plancache.hits"] >= 2, counters
         print(f"round trip ok (plancache.hits={counters['plancache.hits']})")
     finally:
-        shutdown(proc, snap)
+        shutdown(proc, shard_dir)
     return 0
 
 
 def chaos(extra_args):
     env = dict(os.environ)
     env["REPRO_FAULTS"] = CHAOS_PLAN
-    proc, snap, port = boot(extra_args, env=env)
+    proc, shard_dir, port = boot(extra_args, env=env)
     try:
         print(f"repro-serve up on port {port} (chaos plan: {CHAOS_PLAN})")
         client = ServiceClient(f"http://127.0.0.1:{port}", timeout=60)
@@ -140,12 +142,12 @@ def chaos(extra_args):
         assert health["resilience"]["faults"]["total_triggered"] > 0
         print("chaos drill ok: every request answered under fault injection")
     finally:
-        shutdown(proc, snap)
+        shutdown(proc, shard_dir)
     return 0
 
 
 def boot_sharded(workers, shard_dir, extra_args=(), env=None):
-    """Boot ``repro-serve --workers N`` (no snapshot: journals persist)."""
+    """Boot ``repro-serve --workers N`` over ``shard_dir``."""
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.service.server",

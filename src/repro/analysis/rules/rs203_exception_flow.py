@@ -2,10 +2,11 @@
 
 PR 5's contract is that chaos runs degrade gracefully: an
 :class:`~repro.resilience.faults.InjectedFault` raised at any of the
-registered sites (``planner.mc``, ``pool.worker``, ``plancache.save``,
-``plancache.load``, ``server.request``, ``mc.chunk``) is retried, absorbed
-by the degradation ladder, or surfaced as a structured error — never a
-naked traceback out of ``main`` and never silently swallowed.
+registered sites (``planner.mc``, ``pool.worker``, ``server.request``,
+``mc.chunk``, ``shard.journal.append``, ``shard.compact``, ``shard.rpc``)
+is retried, absorbed by the degradation ladder, or surfaced as a
+structured error — never a naked traceback out of ``main`` and never
+silently swallowed.
 
 This rule walks the *reverse* call graph from each fault-injection site:
 
@@ -14,7 +15,7 @@ This rule walks the *reverse* call graph from each fault-injection site:
   (``run_ladder``'s rung handler, the server's top-level request
   handler);
 * a guard that catches but **re-raises** (``RetryPolicy`` exhausting its
-  attempts, the snapshot writer's ``BaseException``+``raise`` cleanup) is
+  attempts, the journal compactor's ``BaseException``+``raise`` cleanup) is
   a waypoint, not a stop — ascent continues through its callers;
 * a broad guard that catches and **ignores** the error is reported as an
   RS105-style swallow *on a fault path* — worse than a crash, because
@@ -27,7 +28,7 @@ Callback edges count as real calls (``backend.map`` really invokes the
 chunk task), with the *caller's* handlers applied conservatively since
 the exact invocation point is unknown.  CHA edges are followed only
 between modules of the same subpackage — a textual method-name match
-across subsystems (``Baseline.save`` vs ``PlanCache.save``) must not
+across subsystems (``Baseline.save`` vs ``ShardStore.put``) must not
 fabricate an escape path.
 """
 

@@ -88,9 +88,6 @@ PLANCACHE_EVICTIONS = "plancache.evictions"
 PLANCACHE_EXPIRATIONS = "plancache.expirations"
 PLANCACHE_SIZE = "plancache.size"
 PLANCACHE_COMPUTE = "plancache.compute"
-PLANCACHE_SNAPSHOTS_SAVED = "plancache.snapshots_saved"
-PLANCACHE_SNAPSHOT_VERSION_MISMATCH = "plancache.snapshot_version_mismatch"
-PLANCACHE_SNAPSHOT_ENTRIES_LOADED = "plancache.snapshot_entries_loaded"
 
 # -- sharded plan-cache tier (repro.service.shard/router/journal) --------
 SHARD_RPC_CALLS = "shard.rpc_calls"

@@ -1,11 +1,11 @@
 """Crash-safe append-only journal for one plan-cache shard (format v1).
 
-The whole-cache JSON snapshot of :class:`~repro.service.plancache.PlanCache`
-loses everything computed since the last save when a process dies.  A shard
-instead persists every mutation as one JSONL record the moment it happens,
-so recovery is *replay*: the compacted ``base.json`` plus the journal
-suffix reconstructs the exact pre-crash state, and an interrupted append
-can lose at most the final partial record — never corrupt prior ones.
+The one persistence format of the plan cache: every store ``repro-serve``
+runs (in-process, or one per shard worker) persists every mutation as one
+JSONL record the moment it happens, so recovery is *replay*: the compacted
+``base.json`` plus the journal suffix reconstructs the exact pre-crash
+state, and an interrupted append can lose at most the final partial
+record — never corrupt prior ones.
 
 Layout (one directory per shard)::
 
@@ -84,7 +84,7 @@ class ReplayResult:
 
     ``entries`` maps ``key -> (created_at, payload)`` in last-write order;
     TTL filtering is the caller's business (the store applies it when
-    loading entries into its cache, mirroring ``PlanCache.load``).
+    loading entries into its cache).
     """
 
     entries: Dict[str, Tuple[float, dict]] = field(default_factory=dict)

@@ -17,7 +17,7 @@ Canonicalization rules (``canonical_json``):
   hash by content.
 
 Keys embed a schema version (``KEY_VERSION``): bump it whenever the meaning
-of any keyed field changes, and every old snapshot entry silently misses
+of any keyed field changes, and every old journaled entry silently misses
 instead of serving a stale plan.
 """
 

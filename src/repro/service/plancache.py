@@ -1,12 +1,12 @@
-"""Thread-safe LRU plan cache with TTL and a JSON warm-start snapshot.
+"""Thread-safe LRU plan cache with TTL.
 
 The cache stores JSON-serializable plan payloads keyed by the content hashes
 of :mod:`repro.service.keys`.  Three properties matter for the service:
 
 * **bounded** — at most ``maxsize`` entries, least-recently-*used* evicted
   first;
-* **fresh** — entries older than ``ttl`` seconds (wall clock, so snapshots
-  age correctly across processes) are treated as misses and dropped;
+* **fresh** — entries older than ``ttl`` seconds (wall clock, so persisted
+  entries age correctly across processes) are treated as misses and dropped;
 * **observable** — hits, misses, evictions and expirations are counted in
   :mod:`repro.observability.metrics` (``plancache.*``), which is how the
   ``/metrics`` endpoint and the CI round-trip assert cache behavior.
@@ -15,20 +15,14 @@ of :mod:`repro.service.keys`.  Three properties matter for the service:
 same uncached plan serialize on a striped key lock, so an expensive DP runs
 once instead of once per waiter (different keys still compute in parallel).
 
-Snapshots (:meth:`PlanCache.save` / :meth:`PlanCache.load`) persist entries
-with their creation timestamps, so a restarted server warm-starts with the
-same keys and remaining TTLs.  Writes are crash-safe: the document goes to
-a temporary file in the destination directory and is atomically
-``os.replace``-d over the target, so a SIGTERM (or an injected
-``plancache.save`` fault) mid-write can never corrupt the previous
-snapshot.
+This class is memory-only.  Persistence is
+:class:`~repro.service.shard.ShardStore`, a subclass that journals every
+mutation before applying it (see :mod:`repro.service.journal`); it is what
+``repro-serve`` runs, in-process and in each shard worker alike.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -36,13 +30,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.observability import metrics
 from repro.observability import names
-from repro.resilience import faults
 from repro.service.keys import stable_key_hash
-from repro.utils.fsio import durable_replace
 
-__all__ = ["PlanCache", "SNAPSHOT_VERSION"]
-
-SNAPSHOT_VERSION = 1
+__all__ = ["PlanCache"]
 
 #: Number of striped single-flight locks (bounds memory; collisions only
 #: serialize two *different* cold keys, never corrupt anything).
@@ -168,10 +158,10 @@ class PlanCache:
             }
 
     def entries(self) -> List[Dict[str, object]]:
-        """Live (non-expired) entries in LRU order as snapshot-schema dicts.
+        """Live (non-expired) entries in LRU order as journal-base dicts.
 
-        Shared by :meth:`save`, the shard journal's compaction, and tests
-        that compare recovered state against live state.
+        Shared by the shard journal's compaction and by tests that compare
+        recovered state against live state.
         """
         with self._lock:
             return [
@@ -179,78 +169,3 @@ class PlanCache:
                 for key, (created_at, payload) in self._data.items()
                 if not self._expired(created_at)
             ]
-
-    # ------------------------------------------------------------------
-    # Warm-start snapshot
-    # ------------------------------------------------------------------
-    def save(self, path: str) -> int:
-        """Write every live entry (LRU order) as JSON; returns the count.
-
-        The write is crash-safe and durable: everything lands in a
-        same-directory temp file first, only a successful, flushed, fsynced
-        write is atomically renamed over ``path``, and the containing
-        directory is then fsynced so the rename itself survives a power
-        failure (on platforms where directories cannot be opened — no
-        ``O_DIRECTORY`` — the directory sync degrades to a no-op and the
-        guarantee weakens to rename-atomicity).  An interrupted save leaves
-        the previous snapshot byte-identical.
-        """
-        entries = self.entries()
-        doc = {
-            "version": SNAPSHOT_VERSION,
-            "saved_at": self._clock(),
-            "maxsize": self.maxsize,
-            "ttl": self.ttl,
-            "entries": entries,
-        }
-        target = os.path.abspath(path)
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=os.path.basename(target) + ".", suffix=".tmp",
-            dir=os.path.dirname(target),
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
-                # The fault site sits between write and rename — exactly
-                # where a crash would historically have truncated the file.
-                faults.fire("plancache.save")
-                fh.flush()
-                os.fsync(fh.fileno())
-            durable_replace(tmp_path, target)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        metrics.inc(names.PLANCACHE_SNAPSHOTS_SAVED)
-        return len(entries)
-
-    def load(self, path: str) -> int:
-        """Merge a snapshot into the cache; returns entries actually loaded.
-
-        Entries keep their original ``created_at`` so TTLs keep aging across
-        the restart; expired or malformed entries are skipped, and a version
-        mismatch loads nothing (the key schema may have changed).
-        """
-        faults.fire("plancache.load")
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict) or doc.get("version") != SNAPSHOT_VERSION:
-            metrics.inc(names.PLANCACHE_SNAPSHOT_VERSION_MISMATCH)
-            return 0
-        loaded = 0
-        for entry in doc.get("entries", []):
-            try:
-                key = str(entry["key"])
-                created_at = float(entry["created_at"])
-                payload = entry["payload"]
-            except (KeyError, TypeError, ValueError):
-                continue
-            if self._expired(created_at) or not isinstance(payload, dict):
-                continue
-            self.put(key, payload, created_at=created_at)
-            loaded += 1
-        metrics.inc(names.PLANCACHE_SNAPSHOT_ENTRIES_LOADED, loaded)
-        return loaded

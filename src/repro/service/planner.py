@@ -70,6 +70,7 @@ class PlanCacheLike(Protocol):
     """What the planner needs from a cache tier.
 
     Satisfied by the in-process :class:`~repro.service.plancache.PlanCache`
+    (and its journaled subclass :class:`~repro.service.shard.ShardStore`)
     and by the sharded facade
     (:class:`~repro.service.router.ShardedPlanCache`).  The sharded tier
     additionally offers ``get_or_compute_routed`` — detected dynamically so

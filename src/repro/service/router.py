@@ -40,7 +40,12 @@ from repro.observability import metrics
 from repro.observability import names
 from repro.resilience.supervisor import Supervisor, SupervisorPolicy
 from repro.service.keys import stable_key_hash
-from repro.service.shard import ShardClient, ShardError, ShardUnavailable
+from repro.service.shard import (
+    ShardClient,
+    ShardError,
+    ShardUnavailable,
+    shard_dir,
+)
 
 __all__ = ["HashRing", "ShardedPlanCache", "ShardFleet", "BANNER_RE"]
 
@@ -131,6 +136,10 @@ class ShardedPlanCache:
         self.maxsize = int(maxsize_per_shard) * len(self._clients)
         self.ttl = ttl
         self._down: set = set()
+        # Keys invalidated while their shard was benched, sent to it before
+        # it rejoins the ring (a restarted worker replays its journal, so
+        # it would otherwise serve them again).
+        self._pending: Dict[int, set] = {}
         self._state_lock = threading.Lock()
         self._stripes = [threading.Lock() for _ in range(_N_STRIPES)]
 
@@ -158,12 +167,33 @@ class ShardedPlanCache:
         return True
 
     def mark_up(self, shard_id: int) -> bool:
-        """Return a shard to service; returns True on a down->up transition."""
-        with self._state_lock:
-            if shard_id not in self._down:
+        """Return a shard to service; returns True on a down->up transition.
+
+        The invalidations the shard missed while benched are sent first;
+        if any of them fails the shard stays benched (the supervisor's
+        next clean probe retries).
+        """
+        while True:
+            with self._state_lock:
+                if shard_id not in self._down:
+                    return False
+                pending = set(self._pending.get(shard_id, ()))
+                if not pending:
+                    self._down.discard(shard_id)
+                    self._pending.pop(shard_id, None)
+                    up = len(self._clients) - len(self._down)
+                    break
+                client = self._clients[shard_id]
+            try:
+                for key in sorted(pending):
+                    # The raw RPC, not the typed ``invalidate`` helper: the
+                    # call graph resolves ``.invalidate`` by name, which
+                    # would route this into ShardStore's journal faults.
+                    client.call({"op": "invalidate", "key": key})
+            except (ShardUnavailable, ShardError):
                 return False
-            self._down.discard(shard_id)
-            up = len(self._clients) - len(self._down)
+            with self._state_lock:
+                self._pending.get(shard_id, set()).difference_update(pending)
         metrics.set_gauge(names.SHARD_UP, up)
         return True
 
@@ -177,6 +207,14 @@ class ShardedPlanCache:
         with self._state_lock:
             down = set(self._down)
         return preference[0], [sid for sid in preference if sid not in down]
+
+    def _defer_if_down(self, shard_id: int, key: str) -> bool:
+        """Queue ``key``'s invalidation for a benched shard (True if so)."""
+        with self._state_lock:
+            if shard_id not in self._down:
+                return False
+            self._pending.setdefault(shard_id, set()).add(key)
+            return True
 
     def _note_failure(self, shard_id: int, exc: Exception) -> None:
         # Bench immediately: the next requests skip the dead shard instead
@@ -272,17 +310,21 @@ class ShardedPlanCache:
 
     def invalidate(self, key: str) -> bool:
         """Broadcast the invalidate: failover may have cached ``key`` on any
-        shard, so only the shard that never saw it may skip the record."""
+        shard.  A benched shard (or one whose RPC fails here) gets it
+        queued, and :meth:`mark_up` delivers it before the shard serves."""
         removed = False
         with self._state_lock:
             clients = dict(self._clients)
-            down = set(self._down)
         for sid, client in sorted(clients.items()):
-            if sid in down:
+            if self._defer_if_down(sid, key):
                 continue
             try:
                 removed = client.invalidate(key) or removed
             except (ShardUnavailable, ShardError) as exc:
+                # Queue before benching, so a concurrent mark_up cannot
+                # return the shard to the ring without this key.
+                with self._state_lock:
+                    self._pending.setdefault(sid, set()).add(key)
                 self._note_failure(sid, exc)
         return removed
 
@@ -392,9 +434,6 @@ class ShardFleet:
             self.supervisor = supervisor
         return cache
 
-    def _shard_dir(self, shard_id: int) -> str:
-        return os.path.join(self.data_dir, f"shard-{shard_id}")
-
     def _spawn(self, shard_id: int) -> ShardClient:
         cmd = [
             sys.executable,
@@ -407,7 +446,7 @@ class ShardFleet:
             "--shard-id",
             str(shard_id),
             "--data-dir",
-            self._shard_dir(shard_id),
+            shard_dir(self.data_dir, shard_id),
             "--host",
             self.host,
             "--port",

@@ -18,8 +18,15 @@ Graceful shutdown: SIGINT/SIGTERM stop the accept loop, the listening
 socket closes (new connections are refused), in-flight requests are
 *drained* — an explicit condition-variable barrier, since the handler
 threads are daemons and would otherwise be abandoned mid-response — and
-(with ``--snapshot-out``) the plan cache is persisted exactly once for the
-next boot's ``--warm-start``.
+only then are the plan stores closed.
+
+Persistence: every plan the server caches is journaled (fsync'd) under
+``--shard-dir`` before it is served, so a restart — clean or SIGKILL —
+replays the same keys.  ``--workers 0`` serves from one in-process
+:class:`~repro.service.shard.ShardStore` in ``DIR/shard-0``; ``--workers
+N`` spreads the keys over N worker processes, each owning ``DIR/shard-K``.
+Both modes write the same journal format, so either can boot over a
+directory the other wrote.
 
 Resilience: every admitted POST passes the ``server.request``
 fault-injection site, and ``--fault-spec`` installs a
@@ -40,16 +47,21 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Tuple
+from typing import Callable, Tuple
 
 from repro import observability as obs
 from repro.observability import metrics
 from repro.observability import names
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan
-from repro.service.plancache import PlanCache
-from repro.service.planner import PlannerService, ResilienceOptions, ServiceError
+from repro.service.planner import (
+    PlanCacheLike,
+    PlannerService,
+    ResilienceOptions,
+    ServiceError,
+)
 from repro.service.router import ShardFleet
+from repro.service.shard import open_store, shard_dir
 
 __all__ = ["PlanServer", "serve", "main"]
 
@@ -222,21 +234,21 @@ def main(argv=None) -> int:
         type=int,
         default=0,
         help="shard the plan cache across N supervised worker processes "
-        "(0 = classic in-process cache); each shard persists its slice in "
-        "a crash-safe append-only journal under --shard-dir",
+        "(0 = one in-process cache in DIR/shard-0); every shard persists "
+        "its keys in a crash-safe append-only journal under --shard-dir",
     )
     parser.add_argument(
         "--shard-dir",
         metavar="DIR",
-        default=None,
-        help="root directory for per-shard journals (default: "
-        "./repro-shards); each worker owns DIR/shard-K",
+        default="repro-shards",
+        help="root directory for the plan-cache journals (default: "
+        "./repro-shards); shard K owns DIR/shard-K",
     )
     parser.add_argument(
         "--shard-journal-bytes",
         type=int,
         default=1 << 20,
-        help="journal segment size that triggers shard compaction",
+        help="journal segment size that triggers compaction",
     )
     parser.add_argument(
         "--ttl", type=float, default=None, help="plan cache TTL in seconds"
@@ -254,18 +266,6 @@ def main(argv=None) -> int:
         help="default Monte-Carlo samples per plan/evaluate request",
     )
     parser.add_argument("--seed", type=int, default=0, help="default RNG seed")
-    parser.add_argument(
-        "--warm-start",
-        metavar="FILE",
-        default=None,
-        help="load a plan-cache snapshot before serving",
-    )
-    parser.add_argument(
-        "--snapshot-out",
-        metavar="FILE",
-        default=None,
-        help="write a plan-cache snapshot on shutdown",
-    )
     parser.add_argument(
         "--fault-spec",
         metavar="SPEC",
@@ -294,48 +294,43 @@ def main(argv=None) -> int:
         plan = FaultPlan.from_spec(args.fault_spec)
         faults.install(plan)
         print(f"Fault plan installed: {plan!r}", file=sys.stderr)
-    fleet = None
+    cache: PlanCacheLike
+    close_cache: Callable[[], None]
     if args.workers > 0:
         fleet = ShardFleet(
             n_shards=args.workers,
-            data_dir=args.shard_dir or "repro-shards",
+            data_dir=args.shard_dir,
             maxsize_per_shard=args.cache_size,
             ttl=args.ttl,
             journal_max_bytes=args.shard_journal_bytes,
         )
         cache = fleet.start()
+        close_cache = fleet.shutdown
         print(
             f"Shard fleet up: {args.workers} worker(s), pids="
             f"{sorted(fleet.pids().values())}, data={fleet.data_dir}",
             file=sys.stderr,
         )
     else:
-        cache = PlanCache(maxsize=args.cache_size, ttl=args.ttl)
+        store, recovered = open_store(
+            shard_dir(args.shard_dir, 0),
+            "plan store",
+            maxsize=args.cache_size,
+            ttl=args.ttl,
+            max_segment_bytes=args.shard_journal_bytes,
+        )
+        cache, close_cache = store, store.close
+        print(
+            f"Plan store up: {recovered} plan(s) recovered, "
+            f"data={store.journal.directory}",
+            file=sys.stderr,
+        )
     service = PlannerService(
         cache=cache,
         n_samples=args.n_samples,
         seed=args.seed,
         resilience=ResilienceOptions(request_deadline_s=args.request_deadline),
     )
-    if args.warm_start:
-        if isinstance(cache, PlanCache):
-            try:
-                loaded = cache.load(args.warm_start)
-                print(f"Warm start: {loaded} plan(s) from {args.warm_start}")
-            except Exception as exc:  # noqa: BLE001 - cold boot beats no boot
-                # Broad on purpose: a corrupt/unreadable snapshot (or an
-                # injected plancache.load fault in chaos runs) must degrade
-                # to an empty cache, never keep the server from starting.
-                print(f"Warm start skipped ({exc})", file=sys.stderr)
-        else:
-            # Sharded mode warm-starts from the per-shard journals instead
-            # (each worker replayed base + journal before its banner).
-            print(
-                "Warm start: sharded mode replays per-shard journals; "
-                f"ignoring {args.warm_start}",
-                file=sys.stderr,
-            )
-
     server = serve(
         service, host=args.host, port=args.port, max_inflight=args.max_inflight
     )
@@ -360,39 +355,17 @@ def main(argv=None) -> int:
         server.serve_forever(poll_interval=0.2)
     finally:
         # Ordered shutdown: close the socket first (new connections are
-        # refused), then drain admitted requests, then snapshot — exactly
-        # once, and only after the cache has stopped changing.
+        # refused), then drain admitted requests, then close the plan
+        # stores — in-flight requests may still be writing to them right
+        # up to their last byte of response.
         server.server_close()
         if not server.drain(timeout=args.drain_timeout):
             print(
                 f"Drain timed out after {args.drain_timeout}s; "
-                "snapshotting anyway",
+                "closing the plan store anyway",
                 file=sys.stderr,
             )
-        if args.snapshot_out:
-            if isinstance(cache, PlanCache):
-                try:
-                    saved = cache.save(args.snapshot_out)
-                    print(
-                        f"Snapshot: {saved} plan(s) to {args.snapshot_out}",
-                        flush=True,
-                    )
-                except Exception as exc:  # noqa: BLE001
-                    # The shutdown path must complete even when the snapshot
-                    # write fails (disk full, injected plancache.save
-                    # fault): losing a warm start is recoverable, dying
-                    # mid-drain with a traceback is not.
-                    print(f"Snapshot failed ({exc})", file=sys.stderr)
-            else:
-                print(
-                    "Snapshot: sharded mode persists per-shard journals; "
-                    f"ignoring {args.snapshot_out}",
-                    file=sys.stderr,
-                )
-        if fleet is not None:
-            # After the drain: in-flight requests may still be talking to
-            # shards right up to their last byte of response.
-            fleet.shutdown()
+        close_cache()
     return 0
 
 

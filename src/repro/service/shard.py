@@ -5,10 +5,13 @@ A shard owns a contiguous arc of the consistent-hashing ring (see
 memory (:class:`~repro.service.plancache.PlanCache`) and on disk
 (:class:`~repro.service.journal.ShardJournal`).  Three pieces live here:
 
-* :class:`ShardStore` — cache + journal glued together: every ``put`` /
-  ``invalidate`` / capacity eviction is journaled *before* the in-memory
-  mutation, so a SIGKILL at any instant recovers to the exact committed
-  state via ``base + journal`` replay (:meth:`ShardStore.recover`);
+* :class:`ShardStore` — a plan cache whose every ``put`` / ``invalidate`` /
+  capacity eviction is journaled *before* the in-memory mutation, so a
+  SIGKILL at any instant recovers to the exact committed state via
+  ``base + journal`` replay (:meth:`ShardStore.recover`).
+  :func:`open_store` is the one boot step (replay, or start cold) shared
+  by the shard worker and ``repro-serve --workers 0``, which serves from
+  one in-process store in the same directory layout as shard 0;
 * :class:`ShardServer` + :func:`main` — the worker process:
   ``python -m repro.service.shard --shard-id K --data-dir D`` binds a
   localhost TCP port, replays its journal (per-shard warm start), prints a
@@ -34,7 +37,7 @@ import socketserver
 import sys
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.observability import metrics
 from repro.observability import names
@@ -46,6 +49,8 @@ __all__ = [
     "ShardError",
     "ShardUnavailable",
     "ShardStore",
+    "shard_dir",
+    "open_store",
     "ShardServer",
     "ShardClient",
     "serve_shard",
@@ -66,7 +71,7 @@ class ShardUnavailable(RuntimeError):
 # ----------------------------------------------------------------------
 # Journaled store
 # ----------------------------------------------------------------------
-class ShardStore:
+class ShardStore(PlanCache):
     """A :class:`PlanCache` whose every mutation is journaled first.
 
     Ordering contract: the journal record is durable *before* the
@@ -75,6 +80,10 @@ class ShardStore:
     the caller was promised when the call returned (it never did).  A
     crash (or injected ``shard.journal.append`` fault) *during* the append
     leaves the cache untouched and the journal's committed prefix intact.
+
+    Reads (``get`` and the hit path of ``get_or_compute``) are inherited
+    unchanged and never touch the journal; a miss in ``get_or_compute``
+    stores its result through the journaled :meth:`put`.
     """
 
     def __init__(
@@ -87,7 +96,7 @@ class ShardStore:
         max_segment_age_s: Optional[float] = None,
         fsync: bool = True,
     ):
-        self.cache = PlanCache(maxsize=maxsize, ttl=ttl, clock=clock)
+        super().__init__(maxsize=maxsize, ttl=ttl, clock=clock)
         self.journal = ShardJournal(
             directory,
             max_segment_bytes=max_segment_bytes,
@@ -95,46 +104,49 @@ class ShardStore:
             clock=clock,
             fsync=fsync,
         )
-        self._clock = clock
-        self._lock = threading.RLock()
+        # Serializes journal-then-cache mutations so the record order is
+        # the mutation order; the inherited cache lock guards reads.
+        self._mutation_lock = threading.RLock()
 
-    # -- reads ----------------------------------------------------------
-    def get(self, key: str) -> Optional[dict]:
-        return self.cache.get(key)
+    @property
+    def cache(self) -> PlanCache:
+        """The in-memory view of the store: the store itself."""
+        return self
 
     def keys(self) -> List[str]:
-        return [str(entry["key"]) for entry in self.cache.entries()]
+        return [str(entry["key"]) for entry in self.entries()]
 
     # -- journaled mutations -------------------------------------------
     def put(
         self, key: str, payload: dict, created_at: Optional[float] = None
-    ) -> None:
-        with self._lock:
+    ) -> List[str]:
+        with self._mutation_lock:
             stamp = self._clock() if created_at is None else float(created_at)
             self.journal.append(
                 {"op": "put", "key": key, "created_at": stamp, "payload": payload}
             )
-            evicted = self.cache.put(key, payload, created_at=stamp)
+            evicted = super().put(key, payload, created_at=stamp)
             for victim in evicted:
                 # Record capacity evictions so replay removes exactly what
                 # the live cache removed — recovered state stays
                 # bit-identical to live state, never a resurrection.
                 self.journal.append({"op": "evict", "key": victim})
             self._maybe_compact()
+            return evicted
 
     def invalidate(self, key: str) -> bool:
-        with self._lock:
+        with self._mutation_lock:
             # Journal first: an invalidate for an absent key replays as a
             # no-op, but a removed key missing its record would resurrect.
             self.journal.append({"op": "invalidate", "key": key})
-            removed = self.cache.invalidate(key)
+            removed = super().invalidate(key)
             self._maybe_compact()
             return removed
 
     def clear(self) -> None:
-        with self._lock:
+        with self._mutation_lock:
             self.journal.append({"op": "clear"})
-            self.cache.clear()
+            super().clear()
 
     # -- compaction / recovery -----------------------------------------
     def _maybe_compact(self) -> None:
@@ -142,27 +154,27 @@ class ShardStore:
             self.compact()
 
     def compact(self) -> int:
-        with self._lock:
-            entries = self.cache.entries()
+        with self._mutation_lock:
+            entries = self.entries()
             self.journal.compact(entries)
             return len(entries)
 
     def recover(self) -> int:
         """Replay base + journal into the cache; returns entries restored.
 
-        Mirrors ``PlanCache.load`` semantics: entries keep their original
-        ``created_at`` (TTLs age across the crash) and already-expired
-        entries are dropped.  Replay applies records through a plain dict,
-        so capacity evictions recorded in the journal — not the LRU's
-        mood during replay — decide what was removed.
+        Entries keep their original ``created_at`` (TTLs age across the
+        crash) and already-expired entries are dropped.  Replay applies
+        records through a plain dict, so capacity evictions recorded in
+        the journal — not the LRU's mood during replay — decide what was
+        removed.
         """
-        with self._lock:
+        with self._mutation_lock:
             result = self.journal.replay()
             restored = 0
             for key, (created_at, payload) in result.entries.items():
-                if self.cache._expired(created_at):
+                if self._expired(created_at):
                     continue
-                self.cache.put(key, payload, created_at=created_at)
+                super().put(key, payload, created_at=created_at)
                 restored += 1
             metrics.inc(names.SHARD_RECOVERED_ENTRIES, restored)
             return restored
@@ -171,9 +183,34 @@ class ShardStore:
         self.journal.close()
 
     def stats(self) -> Dict[str, object]:
-        stats = dict(self.cache.stats())
+        stats = super().stats()
         stats["journal"] = self.journal.stats()
         return stats
+
+
+def shard_dir(root: str, shard_id: int) -> str:
+    """The directory shard ``shard_id`` keeps its journal in under ``root``."""
+    return os.path.join(root, f"shard-{shard_id}")
+
+
+def open_store(
+    directory: str, label: str, **options: Any
+) -> Tuple[ShardStore, int]:
+    """Open a :class:`ShardStore` and replay it: ``(store, recovered)``.
+
+    The one boot step of every store ``repro-serve`` runs, in-process
+    (``--workers 0``) or in a ``repro-shard`` worker.  A cold store beats
+    no store: an unreadable base (torn by something outside the journal's
+    control) degrades to an empty store, reported on stderr under
+    ``label``, and its keys recompute.
+    """
+    store = ShardStore(directory, **options)
+    try:
+        recovered = store.recover()
+    except Exception as exc:  # noqa: BLE001 - boot must not fail on a bad base
+        print(f"{label} recovery skipped ({exc})", file=sys.stderr)
+        recovered = 0
+    return store, recovered
 
 
 # ----------------------------------------------------------------------
@@ -391,20 +428,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    store = ShardStore(
+    store, recovered = open_store(
         args.data_dir,
+        f"shard {args.shard_id}",
         maxsize=args.maxsize,
         ttl=args.ttl,
         max_segment_bytes=args.journal_max_bytes,
         max_segment_age_s=args.journal_max_age,
     )
-    try:
-        recovered = store.recover()
-    except Exception as exc:  # noqa: BLE001 - a cold shard beats no shard:
-        # an unreadable base (torn by something outside the journal's
-        # control) degrades to an empty store; the keys recompute.
-        print(f"shard {args.shard_id} recovery skipped ({exc})", file=sys.stderr)
-        recovered = 0
     server = serve_shard(store, args.shard_id, host=args.host, port=args.port)
 
     def _shutdown(signum: int, frame: Any) -> None:

@@ -1,4 +1,4 @@
-"""Durable filesystem primitives shared by the snapshot and journal writers.
+"""Durable filesystem primitives behind the journal's base and segment writes.
 
 The crash-safety story of the service tier rests on two disciplines:
 

@@ -33,12 +33,12 @@ class TestFaultRule:
         assert FaultRule(site="pool.worker", mode="delay").seconds == 0.05
 
     def test_exact_and_prefix_matching(self):
-        exact = error_rule("plancache.save")
-        assert exact.matches("plancache.save")
-        assert not exact.matches("plancache.load")
-        family = error_rule("plancache.*")
-        assert family.matches("plancache.save")
-        assert family.matches("plancache.load")
+        exact = error_rule("shard.compact")
+        assert exact.matches("shard.compact")
+        assert not exact.matches("shard.rpc")
+        family = error_rule("shard.*")
+        assert family.matches("shard.compact")
+        assert family.matches("shard.rpc")
         assert not family.matches("pool.worker")
 
 
@@ -48,7 +48,7 @@ class TestFaultPlan:
             FaultPlan([error_rule("pool.wroker")])
 
     def test_strict_sites_accepts_families(self):
-        FaultPlan([error_rule("plancache.*")])  # must not raise
+        FaultPlan([error_rule("shard.*")])  # must not raise
 
     def test_error_mode_raises_injected_fault(self):
         plan = FaultPlan([error_rule()])
@@ -205,6 +205,5 @@ class TestCallSiteHelpers:
 
     def test_registry_documents_builtin_sites(self):
         sites = faults.known_sites()
-        for site in ("pool.worker", "mc.chunk", "planner.mc", "plancache.save",
-                     "plancache.load", "server.request"):
+        for site in ("pool.worker", "mc.chunk", "planner.mc", "server.request"):
             assert site in sites

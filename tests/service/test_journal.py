@@ -297,6 +297,32 @@ def test_version_mismatch_base_is_ignored(tmp_path, clock):
     journal.close()
 
 
+def test_malformed_base_entries_and_records_are_skipped(tmp_path, clock):
+    journal = make_journal(tmp_path, clock)
+    with open(journal.base_path, "w", encoding="utf-8") as fh:
+        json.dump(
+            {
+                "version": JOURNAL_VERSION,
+                "entries": [
+                    {"key": "ok", "created_at": 1.0, "payload": {"v": 1}},
+                    {"key": "no-payload", "created_at": 1.0},
+                    {"key": "bad-stamp", "created_at": "x", "payload": {}},
+                    {"key": "non-dict", "created_at": 1.0, "payload": [1]},
+                ],
+            },
+            fh,
+        )
+    journal.append({"op": "put", "key": "no-stamp", "payload": {"v": 2}})
+    journal.append(
+        {"op": "put", "key": "list", "created_at": 2.0, "payload": [2]}
+    )
+    journal.append({"op": "invalidate"})  # no key
+    result = journal.replay()
+    assert result.entries == {"ok": (1.0, {"v": 1})}
+    assert result.base_entries == 1
+    journal.close()
+
+
 def test_unreadable_base_raises_journal_corrupt(tmp_path, clock):
     journal = make_journal(tmp_path, clock)
     with open(journal.base_path, "w", encoding="utf-8") as fh:

@@ -19,6 +19,7 @@ from repro.service.shard import (
     ShardClient,
     ShardStore,
     ShardUnavailable,
+    open_store,
     serve_shard,
 )
 
@@ -189,6 +190,64 @@ def test_broadcast_invalidate_reaches_failover_copies(fleet):
     # Cold again everywhere: a fresh compute runs.
     payload, cached = cache.get_or_compute(key, lambda: {"v": 3})
     assert payload == {"v": 3} and not cached
+
+
+def test_invalidate_while_benched_is_not_served_after_mark_up(fleet):
+    """Regression: an invalidate that skipped a benched shard was lost, and
+    the shard served the old plan as cached once it rejoined the ring."""
+    cache, _ = fleet
+    key = sha(11)
+    primary = cache._ring.primary(key)
+    cache.get_or_compute(key, lambda: {"v": "old"})
+    cache.mark_down(primary)
+    cache.invalidate(key)
+    assert cache.mark_up(primary)
+
+    payload, cached = cache.get_or_compute(key, lambda: {"v": "new"})
+    assert payload == {"v": "new"} and not cached
+
+
+def test_restarted_shard_gets_pending_invalidations(fleet, tmp_path):
+    """A worker that replayed its journal still holds the key; the queued
+    invalidation reaches the new endpoint before the shard serves."""
+    cache, servers = fleet
+    key = sha(12)
+    primary = cache._ring.primary(key)
+    cache.get_or_compute(key, lambda: {"v": "old"})
+    cache.mark_down(primary)
+    cache.invalidate(key)
+
+    kill(servers[primary])
+    servers[primary].store.close()
+    store, recovered = open_store(str(tmp_path / f"shard-{primary}"), "test")
+    assert recovered == 1 and store.get(key) == {"v": "old"}
+    restarted = serve_shard(store, primary)
+    thread = threading.Thread(target=restarted.serve_forever, daemon=True)
+    thread.start()
+    try:
+        cache.set_client(
+            primary, ShardClient("127.0.0.1", restarted.port, primary)
+        )
+        assert cache.mark_up(primary)
+        assert store.get(key) is None
+        payload, cached = cache.get_or_compute(key, lambda: {"v": "new"})
+        assert payload == {"v": "new"} and not cached
+    finally:
+        kill(restarted)
+        store.close()
+
+
+def test_undeliverable_invalidation_keeps_shard_benched(fleet):
+    cache, servers = fleet
+    key = sha(13)
+    primary = cache._ring.primary(key)
+    cache.get_or_compute(key, lambda: {"v": "old"})
+    cache.mark_down(primary)
+    cache.invalidate(key)
+    kill(servers[primary])
+
+    assert not cache.mark_up(primary)
+    assert primary in cache.down_shards()
 
 
 def test_stats_reports_per_shard_and_down_state(fleet):

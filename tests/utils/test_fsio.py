@@ -1,4 +1,4 @@
-"""Durable-rename helpers backing snapshots, journal bases, and segments."""
+"""Durable-rename helpers backing journal bases and segments."""
 
 from __future__ import annotations
 
