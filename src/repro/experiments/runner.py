@@ -66,7 +66,10 @@ from repro.experiments.pricing_exp import (
     format_pricing_experiment,
     run_pricing_experiment,
 )
-from repro.experiments.spot_exp import format_spot_experiment, run_spot_experiment
+from repro.experiments.spot_market_exp import (
+    format_spot_market_experiment,
+    run_spot_market_experiment,
+)
 from repro.experiments.table2 import format_table2, run_table2
 from repro.experiments.variability_exp import (
     format_variability_experiment,
@@ -160,25 +163,26 @@ def _ext_deadline(cfg: ExperimentConfig) -> str:
 
 
 def _ext_spot(cfg: ExperimentConfig) -> str:
-    from repro.extensions.spot import SpotModel
-
-    calm = format_spot_experiment(run_spot_experiment(config=cfg))
-    volatile = format_spot_experiment(
-        run_spot_experiment(
-            spot=SpotModel(price_per_hour=0.3, interruption_rate=5.0),
-            checkpoint_overhead=0.5,
+    # The calm and volatile markets as constant-price spot-market cells:
+    # (rate per hour, checkpoint overhead in hours).
+    cells = [
+        cell
+        for rate, overhead in ((0.1, 0.05), (5.0, 0.5))
+        for cell in run_spot_market_experiment(
+            volatilities=(0.0,),
+            base_rates=(rate,),
+            overheads=(overhead,),
             config=cfg,
         )
+    ]
+    return (
+        "Extension E7: spot (0.3x price) vs reserved sequences in a calm "
+        "and a volatile market, per-job expected cost\n\n"
+        + format_spot_market_experiment(cells)
     )
-    return f"{calm}\n\nVolatile market (5 preemptions/h, 0.5 h checkpoints):\n{volatile}"
 
 
 def _spot_market(cfg: ExperimentConfig) -> str:
-    from repro.experiments.spot_market_exp import (
-        format_spot_market_experiment,
-        run_spot_market_experiment,
-    )
-
     quick = cfg.m_grid < 5000
     cells = run_spot_market_experiment(
         mean_hours_sweep=(0.5, 8.0, 72.0) if quick else (0.5, 2.0, 8.0, 24.0, 72.0),

@@ -1,6 +1,7 @@
 """Extensions beyond the paper's core scope: checkpointed reservations and
 multi-resource (time x processors) reservations — the two future-work
-directions of Section 7."""
+directions of Section 7 — plus deadline-constrained reservations.  Spot
+capacity is a platform, not an extension: see :mod:`repro.platforms.spot`."""
 
 from repro.extensions.checkpoint import (
     CheckpointPlan,
@@ -13,13 +14,6 @@ from repro.extensions.deadline import (
     DeadlineInfeasible,
     DeadlinePlan,
     solve_deadline_dp,
-)
-from repro.extensions.spot import (
-    SpotModel,
-    expected_spot_time_checkpointed,
-    expected_spot_time_restart,
-    optimal_checkpoint_interval,
-    simulate_spot_run,
 )
 from repro.extensions.multiresource import (
     AmdahlSpeedup,
@@ -43,11 +37,6 @@ __all__ = [
     "DeadlineInfeasible",
     "DeadlinePlan",
     "solve_deadline_dp",
-    "SpotModel",
-    "expected_spot_time_restart",
-    "expected_spot_time_checkpointed",
-    "optimal_checkpoint_interval",
-    "simulate_spot_run",
     "SpeedupModel",
     "AmdahlSpeedup",
     "PowerLawSpeedup",

@@ -9,14 +9,14 @@ a first-class scenario next to :class:`~repro.platforms.ReservationOnlyPlatform`
   constant, Ornstein--Uhlenbeck, 2-state regime-switching, and trace-driven
   replay models, all seeded through ``utils.rng``.
 * :mod:`~repro.platforms.spot.hazard` — interruption-hazard models, either
-  constant (the memoryless closed-form regime of ``extensions/spot.py``) or
-  price-dependent (high price -> more preemption pressure).
+  constant (the memoryless closed-form regime) or price-dependent (high
+  price -> more preemption pressure).
 * :mod:`~repro.platforms.spot.evaluator` — interruption-aware expected-cost
   evaluation: a vectorized, backend-invariant Monte-Carlo path integrator
-  (cost accrues along the realized price path) and a closed-form/quadrature
-  path for the constant-price memoryless case that agrees with the
-  ``expected_spot_time_restart``/``expected_spot_time_checkpointed``
-  closed forms.
+  (cost accrues along the realized price path), the scalar closed forms
+  ``expected_spot_time_restart``/``expected_spot_time_checkpointed`` plus
+  the Young/Daly ``optimal_checkpoint_interval``, and a quadrature path
+  that marginalizes those closed forms over the job-length law.
 
 Strategy variants that pick reservation length *and* tier live in
 :mod:`repro.strategies.spot_tier`; the volatility/interruption/overhead sweep
@@ -28,6 +28,9 @@ from repro.platforms.spot.evaluator import (
     SpotScenario,
     expected_spot_busy_time,
     expected_spot_cost,
+    expected_spot_time_checkpointed,
+    expected_spot_time_restart,
+    optimal_checkpoint_interval,
     spot_monte_carlo_cost,
 )
 from repro.platforms.spot.hazard import (
@@ -57,4 +60,7 @@ __all__ = [
     "spot_monte_carlo_cost",
     "expected_spot_busy_time",
     "expected_spot_cost",
+    "expected_spot_time_restart",
+    "expected_spot_time_checkpointed",
+    "optimal_checkpoint_interval",
 ]

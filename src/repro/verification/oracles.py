@@ -504,7 +504,7 @@ def batch_vs_serial_kernel(ctx: OracleContext) -> List[CheckRecord]:
 
 
 # ----------------------------------------------------------------------
-# Spot-market evaluator vs extensions/spot.py closed forms
+# Spot-market Monte-Carlo evaluator vs the spot closed forms
 # ----------------------------------------------------------------------
 @register_oracle("spot_mc_vs_closed_form")
 def spot_mc_vs_closed_form(ctx: OracleContext) -> List[CheckRecord]:
@@ -527,15 +527,13 @@ def spot_mc_vs_closed_form(ctx: OracleContext) -> List[CheckRecord]:
     """
     if not ctx.cost_model.is_reservation_only:
         return []
-    from repro.extensions.spot import (
-        expected_spot_time_checkpointed,
-        expected_spot_time_restart,
-    )
     from repro.platforms.spot import (
         ConstantHazard,
         OUPriceProcess,
         SpotScenario,
         expected_spot_cost,
+        expected_spot_time_checkpointed,
+        expected_spot_time_restart,
         spot_monte_carlo_cost,
     )
 

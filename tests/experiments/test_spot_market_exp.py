@@ -124,3 +124,43 @@ class TestFormatting:
         from repro.experiments.runner import EXPERIMENTS
 
         assert "spot-market" in EXPERIMENTS
+
+
+class TestExtSpot:
+    """``ext-spot``: the calm and volatile markets as vol-0 cells."""
+
+    @staticmethod
+    def _tables(text):
+        """``[(title, [winner per row])]``: a table is titled by the line
+        above its header and ends at the first line without a column."""
+        tables = []
+        lines = text.splitlines()
+        for i, line in enumerate(lines):
+            if not line.endswith("| winner"):
+                continue
+            winners = []
+            for row in lines[i + 2:]:
+                if "|" not in row:
+                    break
+                winners.append(row.split("|")[-1].strip())
+            tables.append((lines[i - 1], winners))
+        return tables
+
+    def test_market_titles_and_winners(self):
+        from repro.experiments.common import QUICK as QUICK_PRESET
+        from repro.experiments.runner import EXPERIMENTS
+
+        tables = self._tables(EXPERIMENTS["ext-spot"](QUICK_PRESET))
+        assert len(tables) == 2
+        (calm_title, calm), (volatile_title, volatile) = tables
+        # Each block is titled with its own market, not a shared one.
+        assert "0.1/h" in calm_title and "0.05h" in calm_title
+        assert " 5/h" in volatile_title and "0.5h" in volatile_title
+        assert len(calm) == len(volatile) == 5
+        assert calm[0] == "spot"  # the 0.5 h row
+        assert volatile == ["reserved"] * 5
+
+    def test_runner_registered(self):
+        from repro.experiments.runner import EXPERIMENTS
+
+        assert "ext-spot" in EXPERIMENTS

@@ -1,4 +1,5 @@
-"""Tests for the spot-instance economics extension."""
+"""Tests for the spot closed forms: restart-from-scratch and checkpointed
+busy time under Poisson preemptions, and the optimal checkpoint interval."""
 
 import math
 
@@ -6,12 +7,11 @@ import numpy as np
 import pytest
 
 from repro import LogNormal
-from repro.extensions.spot import (
-    SpotModel,
+from repro.platforms.spot import (
+    expected_spot_cost,
     expected_spot_time_checkpointed,
     expected_spot_time_restart,
     optimal_checkpoint_interval,
-    simulate_spot_run,
 )
 
 
@@ -42,16 +42,6 @@ class TestRestartFormula:
             expected_spot_time_restart(-1.0, 0.5)
         with pytest.raises(ValueError):
             expected_spot_time_restart(1.0, -0.5)
-
-    def test_matches_monte_carlo(self):
-        """The renewal closed form equals the simulated mean."""
-        lam, t = 0.8, 1.5
-        rng_runs = [
-            simulate_spot_run(t, lam, seed=1000 + i) for i in range(20_000)
-        ]
-        expected = expected_spot_time_restart(t, lam)
-        se = np.std(rng_runs) / math.sqrt(len(rng_runs))
-        assert np.mean(rng_runs) == pytest.approx(expected, abs=5 * se)
 
 
 class TestCheckpointedFormula:
@@ -128,49 +118,10 @@ class TestOptimalInterval:
             optimal_checkpoint_interval(0.1, 0.0)
 
 
-class TestSpotModel:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SpotModel(price_per_hour=0.0)
-        with pytest.raises(ValueError):
-            SpotModel(interruption_rate=-1.0)
-
+class TestMarginalizedCost:
     def test_expected_cost_restart_marginalizes(self):
         d = LogNormal(0.0, 0.3)  # ~1h jobs
-        spot = SpotModel(price_per_hour=0.3, interruption_rate=0.1)
-        cost = spot.expected_cost_restart(d)
+        cost = expected_spot_cost(d, 0.3, 0.1)
         # Lower bound: price * E[X]; modest preemption inflation on top.
         assert cost > 0.3 * d.mean()
         assert cost < 0.3 * d.mean() * 1.3
-
-    def test_checkpointed_cheaper_for_heavy_jobs(self):
-        d = LogNormal(3.0, 0.4)  # ~22h jobs
-        spot = SpotModel(price_per_hour=0.3, interruption_rate=0.2)
-        restart = spot.expected_cost_restart(d)
-        ckpt = spot.expected_cost_checkpointed(d, 1.0, 0.05)
-        assert ckpt < restart
-
-
-class TestExperiment:
-    def test_crossover_shape(self):
-        from repro.experiments.common import ExperimentConfig
-        from repro.experiments.spot_exp import (
-            format_spot_experiment,
-            run_spot_experiment,
-        )
-
-        rows = run_spot_experiment(
-            mean_hours_sweep=(0.5, 24.0),
-            config=ExperimentConfig(n_discrete=150),
-        )
-        short, long = rows[0], rows[1]
-        assert short.winner == "spot"
-        assert long.winner in ("spot+ckpt", "reserved")
-        assert long.spot_restart_cost > long.reserved_cost
-        text = format_spot_experiment(rows)
-        assert "E7" in text and "winner" in text
-
-    def test_runner_registered(self):
-        from repro.experiments.runner import EXPERIMENTS
-
-        assert "ext-spot" in EXPERIMENTS

@@ -2,7 +2,7 @@
 
 The load-bearing checks are the *differential contract*: in the constant-
 price memoryless regime (OU volatility 0, constant hazard) the Monte-Carlo
-evaluator must agree with the ``extensions/spot.py`` closed forms within a
+evaluator must agree with the ``expected_spot_time_*`` closed forms within a
 z=4 confidence interval, and the estimate must be bit-identical across
 backends for a fixed ``(seed, jobs)``.
 """
@@ -13,10 +13,6 @@ import numpy as np
 import pytest
 
 from repro import LogNormal
-from repro.extensions.spot import (
-    expected_spot_time_checkpointed,
-    expected_spot_time_restart,
-)
 from repro.platforms.spot import (
     ConstantHazard,
     ConstantPrice,
@@ -25,6 +21,8 @@ from repro.platforms.spot import (
     SpotScenario,
     expected_spot_busy_time,
     expected_spot_cost,
+    expected_spot_time_checkpointed,
+    expected_spot_time_restart,
     spot_monte_carlo_cost,
 )
 

@@ -19,7 +19,7 @@ from repro.extensions.multiresource import (
     MultiResourceCostModel,
     solve_multiresource_dp,
 )
-from repro.extensions.spot import expected_spot_time_restart
+from repro.platforms.spot import expected_spot_time_restart
 from repro.strategies.dynamic_programming import solve_discrete_dp
 
 discrete_supports = st.lists(
